@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 import heapq
-from typing import List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.common.config import BusConfig
 from repro.common.errors import SimulationError
@@ -107,7 +107,10 @@ class SystemBus(abc.ABC):
         self._busy_until = -1
         # Min-heap of (end_cycle, sequence, transaction) pending completion.
         self._pending: List[Tuple[int, int, BusTransaction]] = []
-        self._sequence = 0
+        #: Transactions accepted so far.  A sleeping core watches it: an
+        #: acceptance is the only way a bus cycle changes what the core
+        #: polls (uncached buffer, CSB line buffers, barrier_clear).
+        self.accepted = 0
 
     # -- concrete buses implement the cost model -----------------------------
 
@@ -185,8 +188,8 @@ class SystemBus(abc.ABC):
                     self._publish_fault(
                         "device_timeout", txn.address, cycles=delay
                     )
-        heapq.heappush(self._pending, (end, self._sequence, txn))
-        self._sequence += 1
+        heapq.heappush(self._pending, (end, self.accepted, txn))
+        self.accepted += 1
         self.stats.bump("bus.transactions")
         self.stats.bump("bus.bytes_wire", txn.size)
         if txn.is_burst:
@@ -264,6 +267,20 @@ class SystemBus(abc.ABC):
     def drain_complete(self) -> bool:
         """True when no transaction is in flight."""
         return not self._pending
+
+    def in_flight(self) -> List[Dict[str, object]]:
+        """Accepted, not yet completed transactions in completion order
+        (deadlock diagnostics)."""
+        return [
+            {
+                "kind": txn.kind,
+                "address": txn.address,
+                "size": txn.size,
+                "core": txn.core_id,
+                "end": end,
+            }
+            for end, _, txn in sorted(self._pending)
+        ]
 
     @property
     def next_start_allowed(self) -> int:

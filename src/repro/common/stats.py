@@ -372,6 +372,11 @@ class StatsCollector:
     def bump(self, name: str, amount: int = 1) -> None:
         self.counter(name).add(amount)
 
+    def live_counters(self) -> Iterable[Counter]:
+        """Every counter minted so far, in creation order: the live
+        objects, not a snapshot of their values."""
+        return self._counters.values()
+
     def get(self, name: str) -> int:
         """The value of counter ``name`` (0 if it was never bumped).
 

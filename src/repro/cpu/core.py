@@ -35,12 +35,13 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.common.config import CoreConfig
 from repro.common.errors import DeadlockError, SimulationError
-from repro.common.stats import StatsCollector
+from repro.common.stats import Counter, StatsCollector
 from repro.cpu.context import ProcessContext
 from repro.cpu.inflight import InFlight, MemState
 from repro.cpu.trace import PipelineTrace
 from repro.cpu.units import FunctionalUnitPool
 from repro.isa import semantics
+from repro.isa.disassembler import disassemble_instruction
 from repro.isa.instructions import (
     AluInstruction,
     BLOCK_STORE_REGS,
@@ -119,6 +120,23 @@ class Core:
         self._link: Optional[int] = None
         self._last_progress = 0
         self.now = 0
+        # Quiet-tick sleeping (see tick): while asleep the core re-applies
+        # one quiet tick's counter increments each cycle instead of
+        # re-running its stages, until ``_sleep_until`` or until the bus
+        # accepts a transaction (its count moves off ``_sleep_bus_mark``).
+        self._bus = uncached_unit.bus
+        self._sleep_until = 0
+        self._sleep_bus_mark = 0
+        self._sleep_ledger: List[Tuple[Counter, int]] = []
+        self._sleep_mshr_stalls = 0
+        self._progress_mark = 0
+        self._armed = False
+        #: Host-side count of cycles this core slept through (diagnostics;
+        #: not a simulated statistic).
+        self.slept_ticks = 0
+        #: Every core on this core's bus, itself included (System wires
+        #: it): the no-progress DeadlockError snapshots all of them.
+        self.machine_cores: List["Core"] = [self]
 
     # -- context management ------------------------------------------------------
 
@@ -139,10 +157,19 @@ class Core:
         self._undo.clear()
         self._link = None  # a context switch breaks any load link
         self._last_progress = self.now
+        self.wake()
 
     def request_drain(self) -> None:
         """Stop dispatching; the pipeline empties through retirement."""
         self._drain_requested = True
+        self.wake()
+
+    def wake(self) -> None:
+        """End a quiet-tick sleep: something the stalled pipeline polls
+        changed outside the bus (see :meth:`tick`).  Callers that write
+        core state from outside — the scheduler parking a context, value
+        deliveries — must call this."""
+        self._sleep_until = 0
 
     def interrupt(self) -> None:
         """Deliver a precise timer interrupt.
@@ -160,6 +187,7 @@ class Core:
         """
         self._drain_requested = True
         self._interrupt_pending = True
+        self.wake()
 
     @property
     def drained(self) -> bool:
@@ -183,13 +211,44 @@ class Core:
     @link_address.setter
     def link_address(self, value: Optional[int]) -> None:
         self._link = value
+        self.wake()
 
     # -- main clock ----------------------------------------------------------------
 
     def tick(self, now: int) -> None:
+        """Advance one CPU cycle.
+
+        A stalled core sleeps instead of re-running its stages.  A *quiet*
+        tick dispatches, issues, retires and transitions nothing; it only
+        bumps stall counters.  After a quiet tick that was probed (its
+        pipeline state and counters recorded around it), the core sleeps
+        until the earliest cycle one of its own timers could change the
+        outcome, re-applying that tick's counter increments each cycle.
+        It wakes early when the bus accepts a transaction — the only way a
+        bus cycle changes the uncached buffer, the CSB line buffers or
+        ``barrier_clear`` — and when :meth:`wake` is called: a value
+        delivery, an interrupt, a drain request or a context change.
+        Every simulated result is identical to ticking through.
+        """
         self.now = now
-        if self.context is None or self.context.halted:
+        context = self.context
+        if context is None or context.halted:
             return
+        woke = False
+        if self._sleep_until:
+            if now < self._sleep_until and self._bus.accepted == self._sleep_bus_mark:
+                for counter, amount in self._sleep_ledger:
+                    counter.value += amount
+                if self._sleep_mshr_stalls:
+                    self.dcache.mshr_stall_cycles += self._sleep_mshr_stalls
+                self.slept_ticks += 1
+                return
+            # Woken by the bus or a timer: probe at once.  Often nothing
+            # changed for this core (another initiator's transaction), and
+            # otherwise the stall usually resumes right after this tick.
+            self._sleep_until = 0
+            woke = self._armed = True
+        probe = self._quiet_probe() if self._armed else None
         self.fus.new_cycle()
         self._retire(now)
         if self._interrupt_pending and self._try_squash():
@@ -205,7 +264,127 @@ class Core:
                 f"no retirement progress; ROB head "
                 f"{self._rob[0].describe() if self._rob else 'empty'}",
                 cycle=now,
+                snapshot=self.machine_snapshot(),
             )
+        # Only a wake or a tick that dispatched, issued and retired nothing
+        # arms the probe, so busy ticks pay one sum and one comparison.
+        progress = self._seq + self._n_issued.value + self._n_retired.value
+        if progress != self._progress_mark:
+            self._progress_mark = progress
+            self._armed = woke
+        elif probe is not None:
+            self._armed = False
+            self._try_sleep(now, probe)
+        else:
+            self._armed = bool(self._rob)
+
+    # -- quiet-tick sleeping ----------------------------------------------------------
+
+    def _pipeline_state(self) -> tuple:
+        """Everything a tick can change besides stall counters.
+
+        Dispatch, issue and retirement move the first three fields; every
+        other transition (cache access, store commit readiness, uncached
+        issue, atomics at the head) is a memory-queue entry changing state.
+        """
+        return (
+            self._seq,
+            self._n_issued.value,
+            self._n_retired.value,
+            len(self._rob),
+            len(self._issueq),
+            self._last_progress,
+            self._interrupt_pending,
+            self._drain_requested,
+            self._fetch_stopped,
+            self._link,
+            len(self._undo),
+            [
+                (f.mem_state, f.ready_at, f.value_known, f.cache_issued)
+                for f in self._memq
+            ],
+        )
+
+    def _quiet_probe(self) -> tuple:
+        """State and counters before a probed tick."""
+        counts = {counter: counter.value for counter in self.stats.live_counters()}
+        mshr_stalls = self.dcache.mshr_stall_cycles if self.dcache else 0
+        return self._pipeline_state(), counts, mshr_stalls
+
+    def _try_sleep(self, now: int, probe: tuple) -> None:
+        """Fall asleep after a probed tick that turned out quiet."""
+        state, before, mshr_stalls = probe
+        if not self._rob or self._pipeline_state() != state:
+            return
+        wake = self._wake_cycle(now)
+        if wake <= now + 1:
+            return
+        self._sleep_ledger = [
+            (counter, counter.value - before.get(counter, 0))
+            for counter in self.stats.live_counters()
+            if counter.value != before.get(counter, 0)
+        ]
+        self._sleep_mshr_stalls = (
+            self.dcache.mshr_stall_cycles - mshr_stalls if self.dcache else 0
+        )
+        self._sleep_until = wake
+        self._sleep_bus_mark = self._bus.accepted
+
+    def _wake_cycle(self, now: int) -> int:
+        """Earliest cycle after ``now`` at which a timer the pipeline
+        compares against could flip a decision.
+
+        That is the watchdog horizon, the future ``ready_at`` of ROB
+        entries and, with the D-cache on, the next MSHR fill.  Producer
+        ready cycles and issue-queue ``stall_until`` hints need no scan of
+        their own: a retired producer's result was ready by its retirement,
+        and a producer still in flight is a ROB entry.
+        """
+        wake = self._last_progress + 50_001  # the no-progress watchdog
+        for flight in self._rob:
+            ready = flight.ready_at
+            if ready is not None and now < ready < wake:
+                wake = ready
+        if self.dcache is not None:
+            fill = self.dcache.next_fill(now)
+            if fill is not None and fill < wake:
+                wake = fill
+        return wake
+
+    def machine_snapshot(self) -> Dict[str, object]:
+        """What a no-progress DeadlockError carries: every core on the bus
+        (:meth:`snapshot`), the shared CSB's pending bursts and the bus
+        transactions in flight."""
+        return {
+            "cycle": self.now,
+            "cores": [core.snapshot() for core in self.machine_cores],
+            "csb_pending_bursts": self.unit.csb.pending_bursts,
+            "bus_in_flight": self._bus.in_flight(),
+        }
+
+    def snapshot(self) -> Dict[str, object]:
+        """Diagnostic view of this core: the ROB head, queue occupancy,
+        sleep state and uncached-buffer occupancy."""
+        head = self._rob[0] if self._rob else None
+        return {
+            "core": self.core_id,
+            "pid": None if self.context is None else self.context.pid,
+            "rob": len(self._rob),
+            "memq": len(self._memq),
+            "head": None
+            if head is None
+            else {
+                "seq": head.seq,
+                "pc": head.pc,
+                "op": disassemble_instruction(head.instr),
+                "mem_state": head.mem_state.value,
+            },
+            "asleep_until": (
+                self._sleep_until if self._sleep_until > self.now else None
+            ),
+            "slept_ticks": self.slept_ticks,
+            "uncached_buffer": self.unit.buffer.occupancy,
+        }
 
     # -- dispatch stage ---------------------------------------------------------------
 
@@ -798,6 +977,7 @@ class Core:
             head.ready_at = cycle
             self._ready[head.seq] = cycle
             head.mem_state = MemState.DONE
+            self.wake()
 
         return resolve
 
@@ -866,6 +1046,7 @@ class Core:
         def resolve(value: int, cycle: int) -> None:
             self._set_value(head, value, ready=cycle)
             head.mem_state = MemState.DONE
+            self.wake()
 
         return resolve
 

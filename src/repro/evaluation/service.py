@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue as queue_module
 import re
 import signal
 import threading
@@ -89,7 +89,7 @@ def default_state_dir() -> str:
 def _worker_main(
     worker_id: int,
     tasks: Any,
-    messages: Any,
+    results: Any,
     cache_dir: Optional[str],
     executor: Callable[[Job], Any],
     heartbeat_interval: float,
@@ -98,15 +98,22 @@ def _worker_main(
 
     Runs in a child process.  The heartbeat thread reports liveness even
     while a long simulation blocks the main loop, so the coordinator can
-    tell "slow" from "dead".
+    tell "slow" from "dead".  ``results`` is this worker's own channel to
+    the coordinator; its lock is local to the process, so a worker that
+    dies mid-send can only tear its own channel.
     """
     stop = threading.Event()
+    send_lock = threading.Lock()
+
+    def send(message: Tuple[Any, ...]) -> None:
+        with send_lock:
+            results.send(message)
 
     def beat() -> None:
         while not stop.wait(heartbeat_interval):
             try:
-                messages.put(("heartbeat", worker_id, _now()))
-            except Exception:  # pragma: no cover - queue torn down
+                send(("heartbeat", worker_id, _now()))
+            except Exception:  # pragma: no cover - channel torn down
                 return
 
     heartbeat = threading.Thread(target=beat, daemon=True)
@@ -116,10 +123,10 @@ def _worker_main(
         while True:
             task = tasks.get()
             if task is None:
-                messages.put(("bye", worker_id))
+                send(("bye", worker_id))
                 return
             index, job, attempt = task
-            messages.put(("start", worker_id, index, attempt, _now()))
+            send(("start", worker_id, index, attempt, _now()))
             try:
                 value = cache.get(job_key(job)) if cache else None
                 simulated = value is None
@@ -127,11 +134,9 @@ def _worker_main(
                     value = executor(job)
                     if cache:
                         cache.put(job_key(job), value, name=job.name)
-                messages.put(
-                    ("done", worker_id, index, attempt, value, simulated)
-                )
+                send(("done", worker_id, index, attempt, value, simulated))
             except Exception as exc:  # deterministic job failure
-                messages.put(
+                send(
                     (
                         "error",
                         worker_id,
@@ -153,6 +158,9 @@ def _worker_main(
 class _WorkerSlot:
     process: Any
     tasks: Any
+    #: Read end of the worker's own result channel; None once it hit EOF
+    #: (the worker is gone and :meth:`WorkerPool._reap` recovers its job).
+    results: Any
     task: Optional[Tuple[int, Job, int]] = None  # (index, job, attempt)
     last_heartbeat: float = 0.0
     dismissed: bool = False
@@ -210,14 +218,19 @@ class WorkerPool:
 
     # -- worker lifecycle --------------------------------------------------
 
-    def _spawn(self, worker_id: int, messages: Any) -> _WorkerSlot:
+    def _spawn(self, worker_id: int) -> _WorkerSlot:
         tasks = self._context.Queue()
+        # One result channel per worker, not one queue shared by all: the
+        # writers of a shared queue share one cross-process lock, and a
+        # worker killed while its feeder thread holds it would silence
+        # every other worker.
+        results, sender = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_worker_main,
             args=(
                 worker_id,
                 tasks,
-                messages,
+                sender,
                 self.cache_dir,
                 self.executor,
                 self.heartbeat_interval,
@@ -225,9 +238,23 @@ class WorkerPool:
             daemon=True,
         )
         process.start()
+        # Only the worker may hold the write end, so its exit reads as EOF.
+        sender.close()
         return _WorkerSlot(
-            process=process, tasks=tasks, last_heartbeat=_now()
+            process=process, tasks=tasks, results=results, last_heartbeat=_now()
         )
+
+    @staticmethod
+    def _receive(slot: _WorkerSlot) -> List[Tuple[Any, ...]]:
+        """Every message waiting on ``slot``'s channel."""
+        received: List[Tuple[Any, ...]] = []
+        try:
+            while slot.results.poll():
+                received.append(slot.results.recv())
+        except (EOFError, OSError):
+            slot.results.close()
+            slot.results = None
+        return received
 
     # -- the run loop ------------------------------------------------------
 
@@ -240,12 +267,9 @@ class WorkerPool:
         pending: Deque[Tuple[int, Job, int]] = deque(
             (index, job, 1) for index, job in enumerate(jobs)
         )
-        messages = self._context.Queue()
         slots: Dict[int, _WorkerSlot] = {}
-        next_worker_id = 0
-        for _ in range(min(self.workers, total)):
-            slots[next_worker_id] = self._spawn(next_worker_id, messages)
-            next_worker_id += 1
+        for worker_id in range(min(self.workers, total)):
+            slots[worker_id] = self._spawn(worker_id)
 
         def unresolved() -> int:
             return sum(1 for outcome in outcomes if outcome is None)
@@ -275,56 +299,20 @@ class WorkerPool:
                             )
                     break
                 self._dispatch(pending, slots)
-                try:
-                    message = messages.get(timeout=self.heartbeat_interval)
-                except queue_module.Empty:
-                    self._reap(pending, slots, messages, settle)
-                    continue
-                kind = message[0]
-                if kind == "heartbeat":
-                    _, worker_id, stamp = message
-                    self.heartbeats[worker_id] = stamp
-                    if worker_id in slots:
-                        slots[worker_id].last_heartbeat = stamp
-                elif kind == "start":
-                    _, worker_id, _, _, stamp = message
-                    self.heartbeats[worker_id] = stamp
-                elif kind == "done":
-                    _, worker_id, index, attempt, value, simulated = message
-                    if simulated:
-                        self.simulated += 1
-                    if worker_id in slots:
-                        slots[worker_id].task = None
-                    settle(
-                        JobOutcome(
-                            index=index,
-                            status="done",
-                            value=value,
-                            attempts=attempt,
-                            worker=worker_id,
-                        )
-                    )
-                elif kind == "error":
-                    _, worker_id, index, attempt, error = message
-                    if worker_id in slots:
-                        slots[worker_id].task = None
-                    settle(
-                        JobOutcome(
-                            index=index,
-                            status="failed",
-                            error=error,
-                            attempts=attempt,
-                            worker=worker_id,
-                        )
-                    )
-                elif kind == "bye":
-                    _, worker_id = message
-                    slot = slots.pop(worker_id, None)
-                    if slot is not None:
-                        slot.process.join(timeout=5)
-                self._reap(pending, slots, messages, settle)
+                channels = {
+                    slot.results: slot
+                    for slot in slots.values()
+                    if slot.results is not None
+                }
+                ready = multiprocessing.connection.wait(
+                    list(channels), timeout=self.heartbeat_interval
+                )
+                for channel in ready:
+                    for message in self._receive(channels[channel]):
+                        self._handle(message, slots, settle)
+                self._reap(pending, slots, settle)
         finally:
-            self._shutdown(slots, messages)
+            self._shutdown(slots)
         return [
             outcome
             if outcome is not None
@@ -336,6 +324,58 @@ class WorkerPool:
             )
             for index, outcome in enumerate(outcomes)
         ]
+
+    def _handle(
+        self,
+        message: Tuple[Any, ...],
+        slots: Dict[int, _WorkerSlot],
+        settle: Callable[[JobOutcome], None],
+    ) -> None:
+        """Apply one worker message to the pool state."""
+        kind = message[0]
+        if kind == "heartbeat":
+            _, worker_id, stamp = message
+            self.heartbeats[worker_id] = stamp
+            if worker_id in slots:
+                slots[worker_id].last_heartbeat = stamp
+        elif kind == "start":
+            _, worker_id, _, _, stamp = message
+            self.heartbeats[worker_id] = stamp
+        elif kind == "done":
+            _, worker_id, index, attempt, value, simulated = message
+            if simulated:
+                self.simulated += 1
+            if worker_id in slots:
+                slots[worker_id].task = None
+            settle(
+                JobOutcome(
+                    index=index,
+                    status="done",
+                    value=value,
+                    attempts=attempt,
+                    worker=worker_id,
+                )
+            )
+        elif kind == "error":
+            _, worker_id, index, attempt, error = message
+            if worker_id in slots:
+                slots[worker_id].task = None
+            settle(
+                JobOutcome(
+                    index=index,
+                    status="failed",
+                    error=error,
+                    attempts=attempt,
+                    worker=worker_id,
+                )
+            )
+        elif kind == "bye":
+            _, worker_id = message
+            slot = slots.pop(worker_id, None)
+            if slot is not None:
+                slot.process.join(timeout=5)
+                if slot.results is not None:
+                    slot.results.close()
 
     def _dispatch(
         self,
@@ -356,7 +396,6 @@ class WorkerPool:
         self,
         pending: Deque[Tuple[int, Job, int]],
         slots: Dict[int, _WorkerSlot],
-        messages: Any,
         settle: Callable[[JobOutcome], None],
     ) -> None:
         """Crash-requeue: detect dead workers, recover their jobs."""
@@ -364,6 +403,8 @@ class WorkerPool:
             if slot.process.is_alive():
                 continue
             del slots[worker_id]
+            if slot.results is not None:
+                slot.results.close()
             task = slot.task
             if task is not None:
                 index, job, attempt = task
@@ -387,9 +428,9 @@ class WorkerPool:
                 self.drain.is_set() and slot.task is None
             ):
                 replacement = max(list(slots) + [worker_id]) + 1
-                slots[replacement] = self._spawn(replacement, messages)
+                slots[replacement] = self._spawn(replacement)
 
-    def _shutdown(self, slots: Dict[int, _WorkerSlot], messages: Any) -> None:
+    def _shutdown(self, slots: Dict[int, _WorkerSlot]) -> None:
         for slot in slots.values():
             try:
                 slot.tasks.put(None)
@@ -401,7 +442,8 @@ class WorkerPool:
             if slot.process.is_alive():
                 slot.process.terminate()
                 slot.process.join(timeout=1.0)
-        messages.close()
+            if slot.results is not None:
+                slot.results.close()
 
     def _progress(
         self, outcomes: Sequence[Optional[JobOutcome]], total: int

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.common.bitops import block_base
 from repro.common.config import CacheConfig
@@ -24,6 +24,33 @@ class LineState(enum.Enum):
     DIRTY = "dirty"
 
 
+class _UntouchedSet(OrderedDict):
+    """The one empty set standing in for every set no line was filled into.
+
+    A system builds thousands of sets and most runs touch a handful, so a
+    set's own LRU map is created on first fill (see :func:`fill_set`).
+    Lookups, ``pop`` and ``clear`` work on the stand-in unchanged; adding a
+    line to it is a bug and fails loudly.
+    """
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        raise TypeError("cache set filled before it was created")
+
+
+UNTOUCHED_SET: "OrderedDict[Any, Any]" = _UntouchedSet()
+
+
+def fill_set(
+    sets: List["OrderedDict[Any, Any]"], index: int
+) -> "OrderedDict[Any, Any]":
+    """``sets[index]``, created on first use, for a caller about to add a
+    line to it."""
+    cache_set = sets[index]
+    if isinstance(cache_set, _UntouchedSet):
+        cache_set = sets[index] = OrderedDict()
+    return cache_set
+
+
 class CacheLevel:
     """One level of the hierarchy."""
 
@@ -31,15 +58,17 @@ class CacheLevel:
         self.config = config
         self.name = name
         self._sets: List["OrderedDict[int, LineState]"] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+            UNTOUCHED_SET
+        ] * config.num_sets
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
 
+    def _index(self, address: int) -> int:
+        return (address // self.config.line_size) % self.config.num_sets
+
     def _set_for(self, address: int) -> "OrderedDict[int, LineState]":
-        line = address // self.config.line_size
-        return self._sets[line % self.config.num_sets]
+        return self._sets[self._index(address)]
 
     def _tag(self, address: int) -> int:
         return block_base(address, self.config.line_size)
@@ -67,7 +96,7 @@ class CacheLevel:
     def fill(self, address: int, dirty: bool = False) -> Optional[int]:
         """Bring the line in (write-allocate); returns the address of an
         evicted dirty line, or None."""
-        cache_set = self._set_for(address)
+        cache_set = fill_set(self._sets, self._index(address))
         tag = self._tag(address)
         evicted: Optional[int] = None
         if tag not in cache_set and len(cache_set) >= self.config.associativity:

@@ -38,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.bitops import block_base
 from repro.common.config import MemoryConfig
+from repro.memory.cache import UNTOUCHED_SET, fill_set
 
 
 class DLineState(enum.Enum):
@@ -76,9 +77,10 @@ class DataCache:
     def __init__(self, config: MemoryConfig, name: str = "dcache") -> None:
         self.config = config
         self.name = name
+        # Each set's LRU map is created on first install (see UNTOUCHED_SET).
         self._sets: List["OrderedDict[int, DLineState]"] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+            UNTOUCHED_SET
+        ] * config.num_sets
         #: Outstanding refills, keyed by line base address.  Insertion
         #: order equals allocation order equals ready order (the miss
         #: latency is constant), so :meth:`drain` pops from the front.
@@ -104,9 +106,11 @@ class DataCache:
 
     # -- address helpers -----------------------------------------------------
 
+    def _index(self, address: int) -> int:
+        return (address // self.config.line_size) % self.config.num_sets
+
     def _set_for(self, address: int) -> "OrderedDict[int, DLineState]":
-        line = address // self.config.line_size
-        return self._sets[line % self.config.num_sets]
+        return self._sets[self._index(address)]
 
     def _line(self, address: int) -> int:
         return block_base(address, self.config.line_size)
@@ -190,7 +194,7 @@ class DataCache:
                 self._invalidate_peers(line)
 
     def _install(self, line: int, dirty: bool) -> None:
-        cache_set = self._set_for(line)
+        cache_set = fill_set(self._sets, self._index(line))
         if line not in cache_set and len(cache_set) >= self.config.associativity:
             victim, state = cache_set.popitem(last=False)
             if state is DLineState.DIRTY:
@@ -245,6 +249,14 @@ class DataCache:
     def quiescent(self) -> bool:
         """True when no refill is outstanding."""
         return not self._mshrs
+
+    def next_fill(self, now: int) -> Optional[int]:
+        """Earliest refill landing after ``now`` (None if there is none):
+        the next cycle at which :meth:`can_accept` may change its answer."""
+        for mshr in self._mshrs.values():
+            if mshr.ready_at > now:
+                return mshr.ready_at
+        return None
 
     @property
     def outstanding(self) -> int:

@@ -87,6 +87,7 @@ class CoreScheduler:
         if not self.core.drained:
             raise ConfigError("force_park with instructions in flight")
         self.core.context = None
+        self.core.wake()
 
     def add(self, context: ProcessContext) -> None:
         self._processes.append(context)
@@ -163,6 +164,7 @@ class CoreScheduler:
                 retired += 1
                 if self.core.context is process:
                     self.core.context = None
+                    self.core.wake()
             else:
                 keep.append(process)
         if retired:

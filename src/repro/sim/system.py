@@ -149,6 +149,8 @@ class System:
             )
             for i in range(num_cores)
         ]
+        for core in self.cores:
+            core.machine_cores = self.cores
         # Single-core aliases: core 0's hardware, the whole machine when
         # ``num_cores=1`` (which the historical API and tests rely on).
         self.buffer = self.buffers[0]

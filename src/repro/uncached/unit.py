@@ -85,8 +85,8 @@ class UncachedUnit:
                 raise SimulationError(
                     f"block store to cached address {address:#x}"
                 )
-            accepted = self.buffer.accept_block_store(
-                address, data, self._next_seq()
+            accepted = self._claim(
+                self.buffer.accept_block_store(address, data, self._sequence + 1)
             )
             if accepted and self.events is not None:
                 self.events.publish(StoreIssued(address, size, "block", self.core_id))
@@ -100,7 +100,9 @@ class UncachedUnit:
                 self.events.publish(StoreIssued(address, size, "csb", self.core_id))
             return True
         if attr is PageAttr.UNCACHED:
-            accepted = self.buffer.accept_store(address, data, self._next_seq())
+            accepted = self._claim(
+                self.buffer.accept_store(address, data, self._sequence + 1)
+            )
             if accepted and self.events is not None:
                 self.events.publish(StoreIssued(address, size, "buffer", self.core_id))
             return accepted
@@ -119,7 +121,9 @@ class UncachedUnit:
         def deliver(data: bytes, _bus_end: int) -> None:
             callback(int.from_bytes(data, "big"), self._now)
 
-        return self.buffer.accept_load(address, size, self._next_seq(), deliver)
+        return self._claim(
+            self.buffer.accept_load(address, size, self._sequence + 1, deliver)
+        )
 
     def issue_swap(
         self,
@@ -157,8 +161,6 @@ class UncachedUnit:
     def _issue_uncached_swap(
         self, address: int, new_value: int, callback: ValueCallback
     ) -> bool:
-        sequence = self._next_seq()
-
         def on_read(data: bytes, _bus_end: int) -> None:
             old = int.from_bytes(data, "big")
             payload = (new_value & ((1 << 64) - 1)).to_bytes(8, "big")
@@ -166,7 +168,9 @@ class UncachedUnit:
                 raise SimulationError("uncached swap write overflowed the buffer")
             callback(old, self._now)
 
-        return self.buffer.accept_load(address, 8, sequence, on_read)
+        return self._claim(
+            self.buffer.accept_load(address, 8, self._sequence + 1, on_read)
+        )
 
     def issue_sync(self, address: int, callback: ValueCallback) -> bool:
         """A synchronization broadcast (a store-conditional's bus
@@ -177,8 +181,10 @@ class UncachedUnit:
             callback(0, self._now)
 
         aligned = address - (address % 8)
-        return self.buffer.accept_load(
-            aligned, 8, self._next_seq(), deliver, kind=KIND_SYNC
+        return self._claim(
+            self.buffer.accept_load(
+                aligned, 8, self._sequence + 1, deliver, kind=KIND_SYNC
+            )
         )
 
     def barrier_clear(self) -> bool:
@@ -272,3 +278,12 @@ class UncachedUnit:
     def _next_seq(self) -> int:
         self._sequence += 1
         return self._sequence
+
+    def _claim(self, accepted: bool) -> bool:
+        """Consume the sequence number (``_sequence + 1``) offered to an
+        operation if the buffer accepted it.  A refused issue leaves the
+        unit untouched, so a stalled core's retry polls change nothing
+        here but stall counters."""
+        if accepted:
+            self._sequence += 1
+        return accepted
