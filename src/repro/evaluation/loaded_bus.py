@@ -139,19 +139,15 @@ def injected_bandwidth_point(
     else:
         source = store_kernel_uncached(total_bytes)
     system.add_process(assemble(source))
-    ratio = system.config.bus.cpu_ratio
-    next_injection = 0
+    if not refill_period:
+        system.run()
+        return system.store_bandwidth
+    period = refill_period * system.config.bus.cpu_ratio
     line = 0
     while not system.finished:
-        if refill_period and system.cycle % ratio == 0:
-            bus_cycle = system.cycle // ratio
-            if bus_cycle >= next_injection:
-                system.refill_engine.request(MISS_ARRAY_BASE + line * 64)
-                line += 1
-                next_injection = bus_cycle + refill_period
-        system.step()
-        if system.cycle > 5_000_000:
-            raise RuntimeError("loaded-bus run did not converge")
+        system.refill_engine.request(MISS_ARRAY_BASE + line * 64)
+        line += 1
+        system.advance(until=system.cycle + period)
     return system.store_bandwidth
 
 

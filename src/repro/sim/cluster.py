@@ -53,47 +53,10 @@ class Cluster:
         )
 
     def run(self, max_cycles: int = 10_000_000) -> None:
-        """Run every node to completion (halted and drained, links empty).
-
-        Batched analogue of calling :meth:`step` in a loop — each node's
-        per-cycle component ticks are prebound once through
-        :meth:`System.make_stepper` (rather than re-resolved through
-        ``System.step``'s attribute chains every cycle), link ticks are
-        bound to locals, and the finish check walks explicit early-exit
-        loops instead of building two generator expressions per cycle.
-        Remains cycle-for-cycle identical to the unbatched loop
-        (tests/sim/test_cluster_batch.py pins the equivalence).
-        """
-        steps = [system.make_stepper() for system in self.systems]
-        link_ticks = [link.tick for link in self.links]
-        systems = self.systems
-        links = self.links
-        ratio = self._ratio
-        cycle = self.cycle
-        try:
-            while True:
-                finished = True
-                for system in systems:
-                    if not system.finished:
-                        finished = False
-                        break
-                if finished:
-                    for link in links:
-                        if link.in_flight:
-                            finished = False
-                            break
-                if finished:
-                    break
-                if cycle >= max_cycles:
-                    raise DeadlockError(
-                        f"cluster exceeded max_cycles={max_cycles}", cycle=cycle
-                    )
-                if cycle % ratio == 0:
-                    bus_cycle = cycle // ratio
-                    for tick in link_ticks:
-                        tick(bus_cycle)
-                for step in steps:
-                    step()
-                cycle += 1
-        finally:
-            self.cycle = cycle
+        """Run every node to completion (halted and drained, links empty)."""
+        while not self.finished:
+            if self.cycle >= max_cycles:
+                raise DeadlockError(
+                    f"cluster exceeded max_cycles={max_cycles}", cycle=self.cycle
+                )
+            self.step()

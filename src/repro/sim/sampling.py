@@ -239,18 +239,18 @@ def run_sampled(system, max_cycles: int = 5_000_000):
 
     index = 0
     while not system.finished:
-        if system.cycle >= max_cycles:
-            raise DeadlockError(
-                f"exceeded max_cycles={max_cycles}", cycle=system.cycle
-            )
-        system.run_window(config.warmup_cycles)
+        system.advance(
+            until=system.cycle + config.warmup_cycles, max_cycles=max_cycles
+        )
         sync_marks(True)
         if system.finished:
             break
         start_cycle = system.cycle
         instructions_before = retired.value
         bytes_before = store_window.total_bytes
-        ran = system.run_window(config.window_cycles)
+        ran = system.advance(
+            until=start_cycle + config.window_cycles, max_cycles=max_cycles
+        )
         sync_marks(True)
         windows.append(
             WindowSample(

@@ -267,7 +267,7 @@ class Scheduler:
 
     @property
     def all_halted(self) -> bool:
-        # Hot: checked once per simulated CPU cycle by System.run.
+        # Hot: checked once per simulated CPU cycle by System.advance.
         for process in self._processes:
             if not process.halted:
                 return False

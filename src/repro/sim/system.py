@@ -14,7 +14,7 @@ cycle-identical to the historical single-initiator system.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError, DeadlockError
@@ -176,10 +176,8 @@ class System:
         self.observability = Observability(self)
         self.cycle = 0
         self._next_pid = 1
-        # Tiered execution: the prebound one-cycle stepper (built lazily by
-        # run_window) and the sampling controller's report, attached by
+        # Tiered execution: the sampling controller's report, attached by
         # repro.sim.sampling.run_sampled after a sampled run.
-        self._stepper = None
         self.sampling_report = None
 
     # -- construction -----------------------------------------------------------
@@ -251,57 +249,64 @@ class System:
         self.scheduler.tick(now)
         self.cycle += 1
 
-    def run(self, max_cycles: int = 5_000_000) -> StatsCollector:
-        """Run until every process has halted and all I/O has drained.
+    def advance(
+        self,
+        until: Optional[int] = None,
+        feed: Optional[Callable[[System], bool]] = None,
+        max_cycles: int = 5_000_000,
+    ) -> int:
+        """The clock driver: tick until the machine is finished or the clock
+        reaches ``until``, and return the number of cycles ticked.
 
-        This is the simulator's hottest loop (every experiment point runs
-        through it), so the per-cycle component ticks are bound to locals
-        and device ticking is skipped entirely when nothing is attached —
-        cycle-for-cycle identical to calling :meth:`step` in a loop.  The
-        single-core system keeps dedicated scalar bindings (no per-cycle
-        list walks); the SMP loop iterates prebound tick lists.
+        Finished means every process has halted and all I/O has drained.
+        With a ``feed``, ``feed(self)`` is asked for more work first, each
+        time the machine is finished (also before the first cycle): it
+        returns True after adding processes, or False when it has none
+        left.  While the machine is drained a feed may also move
+        ``self.cycle`` forward over an idle gap; a jump is not counted as
+        ticked.  Raises :class:`DeadlockError` when the clock reaches
+        ``max_cycles`` with work left, or when a feed returns True without
+        adding any.
+
+        Every run of the simulator goes through this loop, so the component
+        ticks are bound once per call and ticked inline — cycle-for-cycle
+        identical to calling :meth:`step`, the readable reference
+        (tests/sim/test_clock_driver.py pins the equivalence).  The device
+        list is read by reference, so a device a feed attaches is ticked.
         """
         scheduler = self.scheduler
+        quiescent = self._quiescent
+        unit_ticks = [unit.tick_cpu for unit in self.units]
+        core_ticks = [core.tick for core in self.cores]
+        queues = scheduler.queues
+        scheduler_tick = queues[0].tick if len(queues) == 1 else scheduler.tick
         arbiter_tick = self.arbiter.tick_bus
         devices = self.devices
         ratio = self.config.bus.cpu_ratio
-        cycle = self.cycle
-        if len(self.cores) == 1:
-            unit_tick = self.unit.tick_cpu
-            core_tick = self.core.tick
-            scheduler_tick = scheduler.queues[0].tick
-            # With cache bus traffic the refill/write-back engines may hold
-            # queued transactions after the core halts; the D-cache-enabled
-            # system drains them through the full quiescence check.
-            quiescent = self._quiescent if self.dcaches else self.unit.quiescent
-            try:
-                while not (scheduler.all_halted and quiescent()):
-                    if cycle >= max_cycles:
-                        raise DeadlockError(
-                            f"exceeded max_cycles={max_cycles}", cycle=cycle
-                        )
-                    unit_tick(cycle)
-                    if cycle % ratio == 0:
-                        arbiter_tick(cycle // ratio)
-                        if devices:
-                            bus_cycle = cycle // ratio
-                            for device in devices:
-                                device.tick(bus_cycle)
-                    core_tick(cycle)
-                    scheduler_tick(cycle)
-                    cycle += 1
-            finally:
-                self.cycle = cycle
-            return self.stats
-        unit_ticks = [unit.tick_cpu for unit in self.units]
-        core_ticks = [core.tick for core in self.cores]
-        scheduler_tick = scheduler.tick
-        quiescent = self._quiescent
+        start = cycle = self.cycle
         try:
-            while not (scheduler.all_halted and quiescent()):
+            while True:
+                if scheduler.all_halted and quiescent():
+                    if feed is None:
+                        break
+                    self.cycle = cycle
+                    more = feed(self)
+                    start += self.cycle - cycle
+                    cycle = self.cycle
+                    if not more:
+                        break
+                    if scheduler.all_halted:
+                        raise DeadlockError(
+                            "stream feed returned True without adding work",
+                            cycle=cycle,
+                        )
+                if until is not None and cycle >= until:
+                    break
                 if cycle >= max_cycles:
                     raise DeadlockError(
-                        f"exceeded max_cycles={max_cycles}", cycle=cycle
+                        f"exceeded max_cycles={max_cycles}",
+                        cycle=cycle,
+                        snapshot=self.core.machine_snapshot(),
                     )
                 for tick in unit_ticks:
                     tick(cycle)
@@ -316,6 +321,11 @@ class System:
                 cycle += 1
         finally:
             self.cycle = cycle
+        return cycle - start
+
+    def run(self, max_cycles: int = 5_000_000) -> StatsCollector:
+        """Run until every process has halted and all I/O has drained."""
+        self.advance(max_cycles=max_cycles)
         return self.stats
 
     def run_cycles(self, count: int) -> None:
@@ -323,114 +333,17 @@ class System:
         for _ in range(count):
             self.step()
 
-    def make_stepper(self):
-        """Build a zero-argument closure advancing one CPU cycle.
-
-        Cycle-for-cycle identical to :meth:`step`, but every component tick
-        is bound once instead of being re-resolved through attribute chains
-        each cycle — the same hoisting :meth:`run` does, packaged for
-        callers that interleave their own logic with the clock (the
-        sampling controller, :class:`~repro.sim.cluster.Cluster`).  The
-        device list is captured by reference, so devices attached later are
-        still ticked.
-        """
-        arbiter_tick = self.arbiter.tick_bus
-        devices = self.devices
-        ratio = self.config.bus.cpu_ratio
-        if len(self.cores) == 1:
-            unit_tick = self.unit.tick_cpu
-            core_tick = self.core.tick
-            scheduler_tick = self.scheduler.queues[0].tick
-
-            def step_scalar() -> None:
-                cycle = self.cycle
-                unit_tick(cycle)
-                if cycle % ratio == 0:
-                    bus_cycle = cycle // ratio
-                    arbiter_tick(bus_cycle)
-                    if devices:
-                        for device in devices:
-                            device.tick(bus_cycle)
-                core_tick(cycle)
-                scheduler_tick(cycle)
-                self.cycle = cycle + 1
-
-            return step_scalar
-        unit_ticks = [unit.tick_cpu for unit in self.units]
-        core_ticks = [core.tick for core in self.cores]
-        scheduler_tick = self.scheduler.tick
-
-        def step_smp() -> None:
-            cycle = self.cycle
-            for tick in unit_ticks:
-                tick(cycle)
-            if cycle % ratio == 0:
-                bus_cycle = cycle // ratio
-                arbiter_tick(bus_cycle)
-                for device in devices:
-                    device.tick(bus_cycle)
-            for tick in core_ticks:
-                tick(cycle)
-            scheduler_tick(cycle)
-            self.cycle = cycle + 1
-
-        return step_smp
-
-    def run_window(self, cycles: int) -> int:
-        """Advance up to ``cycles`` CPU cycles, stopping early when finished.
-
-        Returns the number of cycles actually run.  This is the detailed
-        tier's entry point for the sampling controller: unlike :meth:`run`
-        it stops at a fixed horizon so measurement windows have exact,
-        config-determined extents.
-        """
-        stepper = self._stepper
-        if stepper is None:
-            stepper = self._stepper = self.make_stepper()
-        scheduler = self.scheduler
-        quiescent = self._quiescent
-        ran = 0
-        while ran < cycles:
-            if scheduler.all_halted and quiescent():
-                break
-            stepper()
-            ran += 1
-        return ran
-
     def run_streamed(self, feed, max_cycles: int = 5_000_000) -> StatsCollector:
         """Run with a feed that injects work whenever the machine drains.
 
-        ``feed(system)`` is called whenever all processes have halted and
-        the I/O paths are quiescent — including before the first cycle
-        when the machine starts empty.  It returns True after installing more work
-        (via :meth:`add_process`) or False when the stream is exhausted —
-        at which point the run ends with the machine drained.  This is the
-        trace-replay loop: the feed compiles the next window of trace
-        records into programs, retiring the previous window's contexts and
-        condensing its transaction records first so memory stays bounded
-        no matter how long the stream is.
-
-        ``max_cycles`` bounds the *whole* run, like :meth:`run`.
+        This is the trace-replay loop (see :meth:`advance` for the feed
+        contract): the feed compiles the next window of trace records into
+        programs, retiring the previous window's contexts and condensing
+        its transaction records first so memory stays bounded no matter
+        how long the stream is.  ``max_cycles`` bounds the *whole* run.
         """
-        stepper = self._stepper
-        if stepper is None:
-            stepper = self._stepper = self.make_stepper()
-        scheduler = self.scheduler
-        quiescent = self._quiescent
-        while True:
-            if scheduler.all_halted and quiescent():
-                if not feed(self):
-                    return self.stats
-                if scheduler.all_halted:
-                    raise DeadlockError(
-                        "stream feed returned True without adding work",
-                        cycle=self.cycle,
-                    )
-            if self.cycle >= max_cycles:
-                raise DeadlockError(
-                    f"exceeded max_cycles={max_cycles}", cycle=self.cycle
-                )
-            stepper()
+        self.advance(feed=feed, max_cycles=max_cycles)
+        return self.stats
 
     def _quiescent(self) -> bool:
         """Every uncached unit drained (shared-bus drain checked by each),

@@ -63,6 +63,20 @@ def run_asm(
     return system
 
 
+def run_signature(system: System) -> dict:
+    """Everything a run computes, for comparing two ways of running it:
+    the cycle, every counter, the marks, the transaction records, the
+    metrics snapshot and the pipeline trace."""
+    return {
+        "cycle": system.cycle,
+        "stats": system.stats.as_dict(),
+        "marks": dict(system.stats.marks),
+        "transactions": list(system.stats.transactions),
+        "metrics": system.metrics().to_dict(),
+        "trace": None if system.trace is None else list(system.trace.events),
+    }
+
+
 def registry_targets() -> dict:
     """The shipped-kernel lint registry, walked once: ``name -> target``.
 

@@ -38,6 +38,25 @@ class TestErrorPaths:
         with pytest.raises(DeadlockError) as exc:
             system.run(max_cycles=5_000)
         assert exc.value.cycle is not None
+        assert exc.value.snapshot["cores"]
+        report = exc.value.report().splitlines()
+        assert any(line.startswith("core 0 ") for line in report)
+
+    def test_loaded_bus_non_convergence_raises_the_driver_error(self, monkeypatch):
+        # A 9-bus-cycle refill injected every bus cycle outranks the store
+        # stream forever.  The study's run is bounded by the clock driver,
+        # whose DeadlockError (a ReproError) fires at max_cycles, lowered
+        # here below the core's 50,000-cycle no-progress watchdog.
+        from repro.evaluation import loaded_bus
+
+        class Capped(System):
+            def advance(self, until=None, feed=None, max_cycles=20_000):
+                return super().advance(until, feed, max_cycles)
+
+        monkeypatch.setattr(loaded_bus, "System", Capped)
+        with pytest.raises(DeadlockError) as exc:
+            loaded_bus.injected_bandwidth_point("none", 256, refill_period=1)
+        assert str(exc.value) == "exceeded max_cycles=20000 (cycle 20000)"
 
     def test_unaligned_uncached_store_rejected(self):
         system = System(make_config())

@@ -1,10 +1,10 @@
-"""Cluster.run's batched loop is cycle-identical to stepping manually.
+"""Cluster.run is cycle-identical to stepping manually.
 
-``Cluster.run`` hoists the per-cycle node steps and link ticks into
-locals (the same optimization ``System.run`` applies); the simulator's
-determinism contract requires this to change nothing observable.  Both
-drivers run the full two-node ping-pong — kernels, NICs, a latent wire —
-and every cycle count, counter, and NIC statistic must agree.
+``Cluster.run`` is a loop over :meth:`Cluster.step` with a
+``max_cycles`` guard, and a run may be handed over between the two
+mid-flight.  Both drivers run the full two-node ping-pong — kernels,
+NICs, a latent wire — and every cycle count, counter, and NIC statistic
+must agree.
 """
 
 from repro.devices.link import Link
@@ -59,7 +59,7 @@ def test_batched_run_matches_manual_stepping():
 
 def test_run_resumes_after_manual_steps():
     # Mixing drivers mid-flight must also be seamless: step a while, then
-    # hand the rest of the run to the batched loop.
+    # hand the rest of the run to Cluster.run.
     mixed, *mixed_nics = _pingpong_cluster()
     for _ in range(137):
         mixed.step()

@@ -34,7 +34,7 @@ from repro.workloads.spec import TraceWorkload
 from repro.workloads.storebw import store_kernel_uncached
 from repro.workloads.traces.replay import TraceReplay
 
-from tests.conftest import make_config, registry_targets
+from tests.conftest import make_config, registry_targets, run_signature
 
 _TARGETS = registry_targets()
 
@@ -48,18 +48,6 @@ MAX_CYCLES = 5_000_000
 
 def _never_sleep(self, now, probe):
     """Stand-in for ``Core._try_sleep``: the core ticks through."""
-
-
-def _signature(system):
-    """Everything a run computes that sleeping must leave untouched."""
-    return {
-        "cycle": system.cycle,
-        "stats": system.stats.as_dict(),
-        "marks": dict(system.stats.marks),
-        "transactions": list(system.stats.transactions),
-        "metrics": system.metrics().to_dict(),
-        "trace": None if system.trace is None else list(system.trace.events),
-    }
 
 
 def _slept(systems):
@@ -87,8 +75,8 @@ def _program_run(source, config, window=None):
         if window is None:
             system.run(max_cycles=MAX_CYCLES)
         else:
-            system.run_window(window)
-        return _signature(system), [system]
+            system.advance(until=window)
+        return run_signature(system), [system]
 
     return run
 
@@ -130,7 +118,7 @@ def test_four_core_smp_contention(monkeypatch):
     def run():
         system = smp_contention_system("csb", 4, iterations=4)
         system.run(max_cycles=MAX_CYCLES)
-        return _signature(system), [system]
+        return run_signature(system), [system]
 
     awake, asleep, slept = _both(monkeypatch, run)
     assert asleep == awake
@@ -150,7 +138,7 @@ def test_quantum_preemption(monkeypatch):
             )
             system.add_process(assemble(source))
         system.run(max_cycles=MAX_CYCLES)
-        return _signature(system), [system]
+        return run_signature(system), [system]
 
     awake, asleep, slept = _both(monkeypatch, run)
     assert asleep == awake
@@ -169,7 +157,7 @@ def test_faulted_bus(monkeypatch):
         system.attach_device(BurstSink(region))
         system.add_process(assemble(store_kernel_uncached(512)))
         system.run(max_cycles=MAX_CYCLES)
-        return _signature(system), [system]
+        return run_signature(system), [system]
 
     awake, asleep, slept = _both(monkeypatch, run)
     assert asleep == awake
@@ -208,7 +196,7 @@ def test_two_core_streamed_replay(monkeypatch, discipline):
     def run():
         replay = TraceReplay(workload, SystemConfig(num_cores=2), 50_000_000)
         result = replay.run()
-        signature = _signature(replay.system)
+        signature = run_signature(replay.system)
         signature["latency"] = result.latency
         signature["windows"] = result.windows
         return signature, [replay.system]
@@ -227,7 +215,7 @@ def test_sampled_run(monkeypatch):
         system = System(make_config(sampling=sampling))
         system.add_process(assemble(store_kernel_uncached(2048)))
         run_sampled(system, max_cycles=MAX_CYCLES)
-        signature = _signature(system)
+        signature = run_signature(system)
         signature["sampling"] = system.sampling_report.to_dict()
         return signature, [system]
 
@@ -248,7 +236,7 @@ def test_cluster_ping_pong(monkeypatch):
         cluster.run(max_cycles=1_000_000)
         signature = {
             "cycle": cluster.cycle,
-            "nodes": [_signature(node) for node in cluster.systems],
+            "nodes": [run_signature(node) for node in cluster.systems],
             "received": [nic_a.received_total, nic_b.received_total],
         }
         return signature, cluster.systems

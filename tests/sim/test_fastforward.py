@@ -158,7 +158,7 @@ def test_polling_workload_prefix_identity(name):
 
     b = _fresh(source, config)
     ff_b = _to_handoff(b)
-    b.run_window(300)
+    b.advance(until=b.cycle + 300)
     _drain(b, MAX_CYCLES)
     retired = b.scheduler.processes[0].retired_instructions
     assert retired < total  # the detour must not overshoot the target

@@ -59,8 +59,12 @@ class TestRunStreamed:
             sys.add_process(assemble(KERNEL))
             return True  # endless stream
 
-        with pytest.raises(DeadlockError):
+        with pytest.raises(DeadlockError) as exc:
             system.run_streamed(feed, max_cycles=500)
+        assert exc.value.cycle == 500
+        assert exc.value.snapshot["cores"]
+        report = exc.value.report().splitlines()
+        assert any(line.startswith("core 0 ") for line in report)
 
 
 class TestRetireHalted:
