@@ -44,6 +44,11 @@ class BusInitiator(Protocol):
         """Try to start a transaction; True means the bus was taken."""
         ...
 
+    def next_poll(self, bus_cycle: int) -> Optional[int]:
+        """Earliest bus cycle, from ``bus_cycle`` on, at which
+        :meth:`tick_bus` could change anything (None: nothing to issue)."""
+        ...
+
 
 class BusArbiter:
     """Grants each bus cycle to at most one of the registered initiators."""
@@ -72,6 +77,20 @@ class BusArbiter:
         label = name or f"initiator{priority}.{len(group)}"
         group.append((label, initiator))
         self.grants[label] = 0
+
+    def next_event(self, bus_cycle: int) -> Optional[int]:
+        """Earliest bus cycle, from ``bus_cycle`` on, at which
+        :meth:`tick_bus` could act: the next transaction completion or
+        initiator poll that can change anything (None: neither)."""
+        wake = self.bus.next_completion
+        for group in self._classes.values():
+            for _, initiator in group:
+                poll = initiator.next_poll(bus_cycle)
+                if poll is not None and (wake is None or poll < wake):
+                    wake = poll
+        if wake is None or wake > bus_cycle:
+            return wake
+        return bus_cycle
 
     def tick_bus(self, bus_cycle: int) -> Optional[str]:
         """Advance the bus one cycle, then grant it to the first initiator

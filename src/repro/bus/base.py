@@ -286,6 +286,12 @@ class SystemBus(abc.ABC):
     def next_start_allowed(self) -> int:
         return self._next_start_allowed
 
+    @property
+    def next_completion(self) -> Optional[int]:
+        """Bus cycle of the earliest in-flight transaction's last data beat
+        (None when idle): :meth:`tick` completes nothing before it."""
+        return self._pending[0][0] if self._pending else None
+
     def _complete(self, txn: BusTransaction) -> None:
         if txn.is_write:
             assert txn.data is not None

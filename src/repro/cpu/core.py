@@ -31,6 +31,7 @@ stall the paper's retry-check sequences pay.
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.common.config import CoreConfig
@@ -60,6 +61,8 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.layout import PageAttr
 from repro.memory.tlb import AttributeTLB
 from repro.uncached.unit import UncachedUnit
+
+_program_order = attrgetter("seq")
 
 
 class Core:
@@ -98,6 +101,12 @@ class Core:
         #: separate from the ROB turns the issue stage from an O(ROB) scan
         #: per cycle into a walk of only the not-yet-issued candidates.
         self._issueq: List[InFlight] = []
+        #: Issue-queue entries parked until a producer gets a ready cycle,
+        #: keyed by that producer's seq; the site recording the cycle moves
+        #: them to ``_woken``, which the next issue scan merges back in
+        #: program order.  A parked entry is not rescanned every cycle.
+        self._parked: Dict[int, List[InFlight]] = {}
+        self._woken: List[InFlight] = []
         # Hot counters, resolved once: the pipeline loops bump these every
         # cycle and the lazy name lookup in StatsCollector.bump is measurable.
         self._n_dispatched = stats.counter("core.dispatched")
@@ -131,9 +140,11 @@ class Core:
         self._sleep_mshr_stalls = 0
         self._progress_mark = 0
         self._armed = False
-        #: Host-side count of cycles this core slept through (diagnostics;
-        #: not a simulated statistic).
+        #: Host-side count of cycles this core slept through, jumped ones
+        #: included (diagnostics; not a simulated statistic).
         self.slept_ticks = 0
+        #: Host-side count of issue-queue entries parked (diagnostics).
+        self.parked_entries = 0
         #: Every core on this core's bus, itself included (System wires
         #: it): the no-progress DeadlockError snapshots all of them.
         self.machine_cores: List["Core"] = [self]
@@ -154,6 +165,8 @@ class Core:
         self._ready.clear()
         self._memq.clear()
         self._issueq.clear()
+        self._parked.clear()
+        self._woken.clear()
         self._undo.clear()
         self._link = None  # a context switch breaks any load link
         self._last_progress = self.now
@@ -237,11 +250,7 @@ class Core:
         woke = False
         if self._sleep_until:
             if now < self._sleep_until and self._bus.accepted == self._sleep_bus_mark:
-                for counter, amount in self._sleep_ledger:
-                    counter.value += amount
-                if self._sleep_mshr_stalls:
-                    self.dcache.mshr_stall_cycles += self._sleep_mshr_stalls
-                self.slept_ticks += 1
+                self.skip(1, now)
                 return
             # Woken by the bus or a timer: probe at once.  Often nothing
             # changed for this core (another initiator's transaction), and
@@ -286,6 +295,8 @@ class Core:
         Dispatch, issue and retirement move the first three fields; every
         other transition (cache access, store commit readiness, uncached
         issue, atomics at the head) is a memory-queue entry changing state.
+        Parking and merging woken entries move the issue-queue length, and
+        a producer that wakes parked entries changes one of the above.
         """
         return (
             self._seq,
@@ -336,9 +347,9 @@ class Core:
 
         That is the watchdog horizon, the future ``ready_at`` of ROB
         entries and, with the D-cache on, the next MSHR fill.  Producer
-        ready cycles and issue-queue ``stall_until`` hints need no scan of
-        their own: a retired producer's result was ready by its retirement,
-        and a producer still in flight is a ROB entry.
+        ready cycles, issue-queue ``stall_until`` hints and parked entries
+        need no scan of their own: a retired producer's result was ready by
+        its retirement, and a producer still in flight is a ROB entry.
         """
         wake = self._last_progress + 50_001  # the no-progress watchdog
         for flight in self._rob:
@@ -350,6 +361,32 @@ class Core:
             if fill is not None and fill < wake:
                 wake = fill
         return wake
+
+    def next_event(self, now: int) -> Optional[int]:
+        """Earliest cycle, from ``now`` on, at which this core must be
+        ticked (the System's clock jump): None without a live context,
+        ``now`` while awake, else the end of its sleep.  A bus acceptance
+        needs no check here: the arbiter grants before the cores tick, so
+        the core already woke in the cycle it happened."""
+        context = self.context
+        if context is None or context.halted:
+            return None
+        return self._sleep_until or now
+
+    def skip(self, cycles: int, last: int) -> None:
+        """Stand in for ``cycles`` sleeping ticks ending at cycle ``last``
+        (one from :meth:`tick`, or a span the System jumped over while
+        :meth:`next_event` allowed it): re-apply the sleep ledger once
+        per cycle."""
+        self.now = last
+        context = self.context
+        if context is None or context.halted:
+            return
+        for counter, amount in self._sleep_ledger:
+            counter.value += amount * cycles
+        if self._sleep_mshr_stalls:
+            self.dcache.mshr_stall_cycles += self._sleep_mshr_stalls * cycles
+        self.slept_ticks += cycles
 
     def machine_snapshot(self) -> Dict[str, object]:
         """What a no-progress DeadlockError carries: every core on the bus
@@ -479,8 +516,7 @@ class Core:
             self._spec_map[dest] = flight.seq
         if instr.is_mark or instr.is_halt or instr.is_membar:
             # No result, no functional unit: timing-ready immediately.
-            self._ready[flight.seq] = flight.dispatch_cycle
-            flight.ready_at = flight.dispatch_cycle
+            self._record_ready(flight, flight.dispatch_cycle)
 
     def _resolve_branch(self, flight: InFlight) -> None:
         assert self.context is not None
@@ -614,39 +650,56 @@ class Core:
         flight.value_known = True
         self._values[flight.seq] = value
         if ready is not None:
-            flight.ready_at = ready
-            self._ready[flight.seq] = ready
+            self._record_ready(flight, ready)
 
     # -- issue stage -----------------------------------------------------------------
 
     def _issue(self, now: int) -> None:
         """Issue ALU/FP/branch instructions to functional units, oldest first."""
         queue = self._issueq
+        woken = self._woken
+        if woken:
+            # Entries whose producer got a ready cycle since the last scan.
+            # One woken earlier in this tick (a retire-stage access, a value
+            # delivery) may issue now; one woken during the scan could not
+            # have (int and FP latencies are >= 1).
+            queue.extend(woken)
+            queue.sort(key=_program_order)
+            woken.clear()
         if not queue:
             return
         ready_map = self._ready
         ready_get = ready_map.get
+        parked = self._parked
         kept: List[InFlight] = []
         for flight in queue:
             # Producers' ready cycles never move earlier once recorded, so a
             # failed dependency check yields a cycle before which re-checking
-            # is pointless (0 = a producer's timing is still unknown).
+            # is pointless.
             if flight.stall_until > now:
                 kept.append(flight)
                 continue
             wait = 0
-            blocked = False
+            unknown = None
             for producer in flight.dep_list:
                 cycle = ready_get(producer)
                 if cycle is None:
-                    blocked = True
-                    wait = 0
+                    unknown = producer
                     break
-                if cycle > now:
-                    blocked = True
-                    if cycle > wait:
-                        wait = cycle
-            if blocked:
+                if cycle > wait:
+                    wait = cycle
+            if unknown is not None:
+                # The producer's timing is still unknown: park the entry
+                # until the site that records the producer's ready cycle
+                # wakes it (see _record_ready).
+                waiters = parked.get(unknown)
+                if waiters is None:
+                    parked[unknown] = [flight]
+                else:
+                    waiters.append(flight)
+                self.parked_entries += 1
+                continue
+            if wait > now:
                 flight.stall_until = wait
                 kept.append(flight)
                 continue
@@ -670,10 +723,24 @@ class Core:
             ready = now + latency
             flight.ready_at = ready
             ready_map[flight.seq] = ready
+            if parked:  # _record_ready, inlined for the issue loop
+                waiters = parked.pop(flight.seq, None)
+                if waiters is not None:
+                    woken.extend(waiters)
             if self.trace is not None:
                 self.trace.record(now, "issue", flight.seq, flight.pc, instr)
             self._n_issued.value += 1
         self._issueq = kept
+
+    def _record_ready(self, flight: InFlight, cycle: int) -> None:
+        """Record the cycle ``flight``'s result is available to dependents,
+        and wake the issue-queue entries parked on it."""
+        flight.ready_at = cycle
+        self._ready[flight.seq] = cycle
+        if self._parked:
+            waiters = self._parked.pop(flight.seq, None)
+            if waiters is not None:
+                self._woken.extend(waiters)
 
     # -- memory queue -----------------------------------------------------------------
 
@@ -723,8 +790,7 @@ class Core:
                 )
                 ready = now + latency
             flight.mem_state = MemState.ACCESSING
-            flight.ready_at = ready
-            self._ready[flight.seq] = ready
+            self._record_ready(flight, ready)
             if self.trace is not None:
                 self.trace.record(now, "cache", flight.seq, flight.pc, instr)
             self.stats.bump("core.cached_loads")
@@ -785,8 +851,7 @@ class Core:
 
     def _mem_done(self, flight: InFlight, ready: int) -> None:
         flight.mem_state = MemState.DONE
-        flight.ready_at = ready
-        self._ready[flight.seq] = ready
+        self._record_ready(flight, ready)
 
     # -- retire stage --------------------------------------------------------------------
 
@@ -868,8 +933,7 @@ class Core:
                 return False
             ready = self.dcache.access(head.address, True, now)
             head.cache_issued = True
-            head.ready_at = ready
-            self._ready[head.seq] = ready
+            self._record_ready(head, ready)
             self.stats.bump("core.cached_stores")
         if head.ready_at is not None and head.ready_at > now:
             return False
@@ -893,8 +957,7 @@ class Core:
                 latency = self.hierarchy.access_latency(head.address, is_write=True)
                 ready = now + latency
             head.mem_state = MemState.ACCESSING
-            head.ready_at = ready
-            self._ready[head.seq] = ready
+            self._record_ready(head, ready)
             self.stats.bump("core.cached_swaps")
             if self.events is not None:
                 from repro.observability.events import LockAcquire
@@ -927,8 +990,7 @@ class Core:
             assert head.value is not None
             if head.value == 0:
                 head.mem_state = MemState.DONE
-                head.ready_at = now
-                self._ready[head.seq] = now
+                self._record_ready(head, now)
                 self._commit(head, now)
                 self.stats.bump("core.sc_failures")
                 return True
@@ -945,8 +1007,7 @@ class Core:
                 latency = self.hierarchy.access_latency(head.address, is_write=True)
                 ready = now + latency
             head.mem_state = MemState.ACCESSING
-            head.ready_at = ready
-            self._ready[head.seq] = ready
+            self._record_ready(head, ready)
             return False
         if head.mem_state is MemState.ACCESSING:
             assert head.ready_at is not None
@@ -974,8 +1035,7 @@ class Core:
         def resolve(_value: int, cycle: int) -> None:
             # The functional result (1) was known at dispatch; the bus
             # round trip only gates timing.
-            head.ready_at = cycle
-            self._ready[head.seq] = cycle
+            self._record_ready(head, cycle)
             head.mem_state = MemState.DONE
             self.wake()
 
@@ -1115,6 +1175,8 @@ class Core:
         self._rob.clear()
         self._memq.clear()
         self._issueq.clear()
+        self._parked.clear()
+        self._woken.clear()
         self._spec_map.clear()
         self._values.clear()
         self._ready.clear()

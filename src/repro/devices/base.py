@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import abc
+from typing import Optional
 
 from repro.common.errors import MemoryError_
 from repro.memory.layout import Region
@@ -53,6 +54,21 @@ class Device(abc.ABC):
 
     def tick(self, bus_cycle: int) -> None:
         """Optional per-bus-cycle device activity (DMA progress etc.)."""
+
+    def next_event(self, bus_cycle: int) -> Optional[int]:
+        """Earliest bus cycle, from ``bus_cycle`` on, at which :meth:`tick`
+        must run (None: never on its own).
+
+        The System's clock jump skips bus cycles before it, then ticks the
+        device at the first and the last skipped bus cycle, so a device
+        whose tick integrates a gap exactly may return None.  A device that
+        does nothing per cycle never bounds the jump; one that overrides
+        :meth:`tick` is ticked every bus cycle unless it reports its next
+        timer.
+        """
+        if type(self).tick is Device.tick:
+            return None
+        return bus_cycle
 
     @abc.abstractmethod
     def handle_write(self, offset: int, data: bytes) -> None:

@@ -123,6 +123,13 @@ class DmaEngine(Device):
             self.transfers.append((src, length, bus_cycle))
             self._active = None
 
+    def next_event(self, bus_cycle: int) -> Optional[int]:
+        """The active transfer's completion (None while idle); before it a
+        tick only moves the device clock."""
+        if self._active is None:
+            return None
+        return max(self._busy_until, bus_cycle)
+
     def _dma_fault(self, src: int, length: int, bus_cycle: int) -> None:
         """Handle one injected completion failure (see :meth:`tick`)."""
         assert self.faults is not None

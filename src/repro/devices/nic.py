@@ -201,6 +201,16 @@ class NetworkInterface(Device):
             if self.egress is not None:
                 self.egress(packet)
 
+    def next_event(self, bus_cycle: int) -> Optional[int]:
+        """The next transmit start or serialization end (see :meth:`tick`);
+        between them a tick only moves the device clock."""
+        wake = None
+        if self._fifo:
+            wake = max(self._tx_busy_until + 1, self._fifo[0].not_before)
+        if self._in_flight and (wake is None or self._in_flight[0][0] < wake):
+            wake = self._in_flight[0][0]
+        return None if wake is None else max(wake, bus_cycle)
+
     def _tx_fault(self, descriptor: _PendingDescriptor, bus_cycle: int) -> None:
         """Handle one injected serialization failure (see :meth:`tick`)."""
         assert self.faults is not None

@@ -14,7 +14,7 @@ store bandwidth.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Tuple
+from typing import Deque, Optional, Tuple
 
 from repro.common.stats import StatsCollector
 from repro.bus.base import SystemBus
@@ -44,6 +44,16 @@ class RefillEngine:
         line = address - (address % self.line_size)
         self._pending.append(line)
         self.stats.bump("refill.requests")
+
+    def next_poll(self, bus_cycle: int) -> Optional[int]:
+        """Earliest bus cycle, from ``bus_cycle`` on, at which a grant poll
+        could act: None with nothing queued.  A head not yet considered
+        draws its stall fault on the next poll, even one the bus refuses."""
+        if not self._pending:
+            return None
+        if self.faults is not None and not self._head_drawn:
+            return bus_cycle
+        return max(bus_cycle, self._stall_until, self.bus.next_start_allowed)
 
     def tick_bus(self, bus_cycle: int) -> bool:
         """Issue the oldest pending refill if the bus allows.  Returns True
@@ -127,6 +137,13 @@ class WritebackEngine:
         data = self.backing.read_bytes(line, self.line_size)
         self._pending.append((line, data))
         self.stats.bump("writeback.requests")
+
+    def next_poll(self, bus_cycle: int) -> Optional[int]:
+        """Earliest bus cycle, from ``bus_cycle`` on, at which a grant poll
+        could act: None with nothing queued."""
+        if not self._pending:
+            return None
+        return max(bus_cycle, self.bus.next_start_allowed)
 
     def tick_bus(self, bus_cycle: int) -> bool:
         """Issue the oldest pending write-back if the bus allows.  Returns

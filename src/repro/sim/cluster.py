@@ -56,7 +56,13 @@ class Cluster:
         """Run every node to completion (halted and drained, links empty)."""
         while not self.finished:
             if self.cycle >= max_cycles:
+                stuck = next(
+                    (node for node in self.systems if not node.finished),
+                    self.systems[0],
+                )
                 raise DeadlockError(
-                    f"cluster exceeded max_cycles={max_cycles}", cycle=self.cycle
+                    f"cluster exceeded max_cycles={max_cycles}",
+                    cycle=self.cycle,
+                    snapshot=stuck.core.machine_snapshot(),
                 )
             self.step()

@@ -199,6 +199,7 @@ def _drain(system, max_cycles: int) -> None:
             raise DeadlockError(
                 f"pipeline drain exceeded max_cycles={max_cycles}",
                 cycle=system.cycle,
+                snapshot=core.machine_snapshot(),
             )
         core.request_drain()
         system.step()

@@ -146,6 +146,27 @@ class CoreScheduler:
             core.interrupt()
             self._draining = True
 
+    def next_event(self, now: int) -> Optional[int]:
+        """Earliest cycle, from ``now`` on, at which :meth:`tick` could act
+        while the core waits (the System's clock jump): the end of a
+        switch penalty or of the quantum, ``now`` when a switch is due at
+        once, or None when only another component can give it work."""
+        if self.held or not self._processes:
+            return None
+        if self._switch_at is not None:
+            return max(now, self._switch_at)
+        current = self.core.context
+        if current is None:
+            return now if self.runnable() else None
+        if current.halted:
+            others = self._num_runnable - (1 if self._current_live else 0)
+            return now if others else None
+        if self._draining:
+            return now if self.core.drained else None
+        if self.quantum is not None and self._num_runnable > 1:
+            return max(now, self._quantum_start + self.quantum)
+        return None
+
     def retire_halted(self) -> int:
         """Forget every halted process (streaming replay's queue purge).
 

@@ -14,7 +14,7 @@ cycle-identical to the historical single-initiator system.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Protocol, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError, DeadlockError
@@ -37,6 +37,14 @@ from repro.sim.scheduler import Scheduler
 from repro.uncached.buffer import UncachedBuffer
 from repro.uncached.csb import ConditionalStoreBuffer
 from repro.uncached.unit import UncachedUnit
+
+
+class _Timed(Protocol):
+    """A component the clock jump asks for its next event (see
+    :meth:`System._next_event`)."""
+
+    def next_event(self, cycle: int, /) -> Optional[int]: ...
+
 
 class System:
     """A complete simulated machine.
@@ -175,6 +183,9 @@ class System:
                 self.refill_engine.faults = self.faults
         self.observability = Observability(self)
         self.cycle = 0
+        #: Host-side count of cycles the clock driver jumped instead of
+        #: ticking (diagnostics; not a simulated statistic).
+        self.jumped_cycles = 0
         self._next_pid = 1
         # Tiered execution: the sampling controller's report, attached by
         # repro.sim.sampling.run_sampled after a sampled run.
@@ -256,34 +267,43 @@ class System:
         max_cycles: int = 5_000_000,
     ) -> int:
         """The clock driver: tick until the machine is finished or the clock
-        reaches ``until``, and return the number of cycles ticked.
+        reaches ``until``, and return the number of cycles advanced.
 
         Finished means every process has halted and all I/O has drained.
         With a ``feed``, ``feed(self)`` is asked for more work first, each
         time the machine is finished (also before the first cycle): it
         returns True after adding processes, or False when it has none
         left.  While the machine is drained a feed may also move
-        ``self.cycle`` forward over an idle gap; a jump is not counted as
-        ticked.  Raises :class:`DeadlockError` when the clock reaches
-        ``max_cycles`` with work left, or when a feed returns True without
-        adding any.
+        ``self.cycle`` forward over an idle gap; a feed's jump is not
+        counted as advanced.  Raises :class:`DeadlockError` when the clock
+        reaches ``max_cycles`` with work left, or when a feed returns True
+        without adding any.
 
         Every run of the simulator goes through this loop, so the component
         ticks are bound once per call and ticked inline — cycle-for-cycle
         identical to calling :meth:`step`, the readable reference
         (tests/sim/test_clock_driver.py pins the equivalence).  The device
         list is read by reference, so a device a feed attaches is ticked.
+
+        While every core is asleep or has no live context, the loop jumps
+        the clock to the earliest cycle any component could act
+        (:meth:`_next_event`) instead of ticking through the wait; the
+        skipped cycles count as advanced and leave every simulated result
+        as ticking them would (:meth:`_skip`).
         """
         scheduler = self.scheduler
         quiescent = self._quiescent
+        cores = self.cores
         unit_ticks = [unit.tick_cpu for unit in self.units]
-        core_ticks = [core.tick for core in self.cores]
+        core_ticks = [core.tick for core in cores]
         queues = scheduler.queues
         scheduler_tick = queues[0].tick if len(queues) == 1 else scheduler.tick
         arbiter_tick = self.arbiter.tick_bus
         devices = self.devices
         ratio = self.config.bus.cpu_ratio
+        limit = max_cycles if until is None else min(until, max_cycles)
         start = cycle = self.cycle
+        landed = False  # the clock just jumped to a cycle something acts in
         try:
             while True:
                 if scheduler.all_halted and quiescent():
@@ -308,6 +328,21 @@ class System:
                         cycle=cycle,
                         snapshot=self.core.machine_snapshot(),
                     )
+                if landed:
+                    landed = False
+                else:
+                    for core in cores:
+                        if not core._sleep_until:
+                            context = core.context
+                            if context is not None and not context.halted:
+                                break  # an awake core: tick
+                    else:
+                        target = self._next_event(cycle, limit)
+                        if target > cycle:
+                            self._skip(cycle, target)
+                            cycle = target
+                            landed = True
+                            continue
                 for tick in unit_ticks:
                     tick(cycle)
                 if cycle % ratio == 0:
@@ -322,6 +357,61 @@ class System:
         finally:
             self.cycle = cycle
         return cycle - start
+
+    def _next_event(self, cycle: int, limit: int) -> int:
+        """The earliest cycle, from ``cycle`` on and at most ``limit``, at
+        which any component could act while every core waits: each answers
+        for itself and the clock driver jumps to the minimum.
+
+        That is a sleeping core's wake cycle, a unit's next flush result,
+        a run queue's switch or quantum end, the cycle after a D-cache fill
+        lands (the driver's drain check installs it, and may queue a
+        write-back), and — on bus cycles — the bus arbiter's next
+        completion or useful grant poll and the devices' timers.  Written
+        as plain loops: it runs once per jump, and a jump saves only a few
+        cheap sleeping ticks.
+        """
+        target = limit
+        timed: Tuple[_Timed, ...] = (*self.cores, *self.units, *self.scheduler.queues)
+        for component in timed:
+            wake = component.next_event(cycle)
+            if wake is not None and wake < target:
+                target = wake
+        if self.dcaches:
+            drained = self.units[0]._now  # what _quiescent drained fills up to
+            for dcache in self.dcaches:
+                fill = dcache.next_fill(drained)
+                if fill is not None and fill < target - 1:
+                    target = fill + 1
+        ratio = self.config.bus.cpu_ratio
+        bus_cycle = -(-cycle // ratio)  # the first bus cycle from ``cycle`` on
+        if bus_cycle * ratio < target:
+            timed = (self.arbiter, *self.devices)
+            for component in timed:
+                wake = component.next_event(bus_cycle)
+                if wake is not None and wake * ratio < target:
+                    target = wake * ratio
+        return target if target > cycle else cycle
+
+    def _skip(self, cycle: int, target: int) -> None:
+        """Jump the clock from ``cycle`` to ``target``, leaving the machine
+        as ticking cycles ``cycle .. target - 1`` would (no component acts
+        in them, :meth:`_next_event`): sleeping cores re-apply their sleep
+        ledgers, the clocks components read move to ``target - 1``, and
+        devices tick at the first and the last skipped bus cycle."""
+        last = target - 1
+        for core in self.cores:
+            core.skip(target - cycle, last)
+        for unit in self.units:
+            unit.tick_cpu(last)  # no flush result falls due before target
+        ratio = self.config.bus.cpu_ratio
+        first_bus, last_bus = -(-cycle // ratio), last // ratio
+        if first_bus <= last_bus:
+            for device in self.devices:
+                device.tick(first_bus)
+                if last_bus != first_bus:
+                    device.tick(last_bus)
+        self.jumped_cycles += target - cycle
 
     def run(self, max_cycles: int = 5_000_000) -> StatsCollector:
         """Run until every process has halted and all I/O has drained."""

@@ -17,7 +17,7 @@ numbers), preserving strong ordering across the two paths.
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.config import CSBConfig
 from repro.common.errors import SimulationError
@@ -227,6 +227,21 @@ class UncachedUnit:
                 for _, callback, value in due_now:
                     callback(value, cpu_cycle)
 
+    def next_event(self, cpu_cycle: int) -> Optional[int]:
+        """CPU cycle the next flush result falls due (None: none pending);
+        :meth:`tick_cpu` changes nothing else (the System's clock jump)."""
+        if not self._scheduled:
+            return None
+        return max(cpu_cycle, min(item[0] for item in self._scheduled))
+
+    def next_poll(self, bus_cycle: int) -> Optional[int]:
+        """Earliest bus cycle, from ``bus_cycle`` on, at which a grant poll
+        (:meth:`tick_bus`) could act: None with nothing to issue."""
+        if not self._csb_burst_seqs and self.buffer.empty:
+            return None
+        allowed = self.bus.next_start_allowed
+        return allowed if allowed > bus_cycle else bus_cycle
+
     def tick_bus(self, bus_cycle: int) -> bool:
         """Program-order arbitration between the buffer and a CSB burst.
 
@@ -236,6 +251,11 @@ class UncachedUnit:
         buffer_seq = self.buffer.head_sequence
         csb_seq = self._csb_burst_seqs[0] if self._csb_burst_seqs else None
         if buffer_seq is None and csb_seq is None:
+            return False
+        if not self.bus.can_issue(bus_cycle):
+            # Flow control refuses any transaction this cycle, and a refused
+            # try_issue changes nothing: skip building a plan and a
+            # transaction only to have them refused.
             return False
         if csb_seq is None or (buffer_seq is not None and buffer_seq < csb_seq):
             return self.buffer.tick_bus(bus_cycle)

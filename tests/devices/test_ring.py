@@ -116,3 +116,55 @@ class TestOccupancyIntegral:
 
     def test_empty_ring_mean_is_zero(self):
         assert make_ring().mean_occupancy() == 0.0
+
+
+class TestGapProperty:
+    """A ring ticked at every bus cycle of a span ends in the same state as
+    one ticked only at the span's first and last cycle — what the clock
+    driver's jump relies on when it catches devices up."""
+
+    @staticmethod
+    def primed(pending, history):
+        """``pending`` descriptors written, then ticks at bus cycles
+        ``0 .. history - 1`` (none: the ring has never ticked)."""
+        ring = make_ring(capacity=8, service_cycles=5)
+        for _ in range(pending):
+            ring.handle_write(0, b"\0" * 8)
+        for cycle in range(history):
+            ring.tick(cycle)
+        return ring
+
+    @staticmethod
+    def state(ring):
+        return (
+            ring.pending,
+            ring.drained,
+            ring.ticks,
+            ring.occupancy_integral,
+            ring._service_credit,
+        )
+
+    @pytest.mark.parametrize(
+        "pending, history, first, last",
+        [
+            (3, 0, 0, 0),  # the ring's first tick only
+            (3, 0, 0, 9),  # begins at the ring's first tick, one drain
+            (8, 0, 4, 30),  # first tick late, several drains
+            (2, 0, 6, 40),  # first tick late, empties the ring
+            (8, 3, 3, 3),  # one cycle, with service credit banked
+            (8, 3, 3, 14),  # crosses drains, stays non-empty
+            (8, 3, 3, 60),  # crosses drains and empties the ring
+            (4, 3, 9, 25),  # an unticked gap before the span
+            (0, 3, 3, 20),  # empty throughout
+        ],
+    )
+    def test_span_ends_equal_every_cycle(self, pending, history, first, last):
+        every = self.primed(pending, history)
+        for cycle in range(first, last + 1):
+            every.tick(cycle)
+        ends = self.primed(pending, history)
+        ends.tick(first)
+        if last != first:
+            ends.tick(last)
+        assert self.state(ends) == self.state(every)
+        assert ends.mean_occupancy() == every.mean_occupancy()

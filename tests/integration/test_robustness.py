@@ -58,6 +58,46 @@ class TestErrorPaths:
             loaded_bus.injected_bandwidth_point("none", 256, refill_period=1)
         assert str(exc.value) == "exceeded max_cycles=20000 (cycle 20000)"
 
+    def test_sampled_drain_deadlock_carries_a_snapshot(self):
+        # The first detailed window ends at cycle 144 with the uncached
+        # buffer full behind a bus 6x slower than the core; the hand-off
+        # drain cannot empty it before max_cycles.
+        from repro.common.config import SamplingConfig
+        from repro.sim.sampling import run_sampled
+        from repro.workloads.storebw import store_kernel_uncached
+
+        sampling = SamplingConfig(
+            enabled=True, ff_instructions=64, warmup_cycles=48, window_cycles=96
+        )
+        system = System(make_config(sampling=sampling))
+        system.add_process(assemble(store_kernel_uncached(256)))
+        with pytest.raises(DeadlockError) as exc:
+            run_sampled(system, max_cycles=150)
+        assert str(exc.value) == (
+            "pipeline drain exceeded max_cycles=150 (cycle 150)"
+        )
+        assert exc.value.snapshot["cycle"] == 149
+        assert exc.value.snapshot["cores"][0]["uncached_buffer"] > 0
+        assert exc.value.snapshot["cores"]
+        report = exc.value.report().splitlines()
+        assert any(line.startswith("core 0 ") for line in report)
+
+    def test_cluster_deadlock_snapshots_the_unfinished_node(self):
+        from repro.sim.cluster import Cluster
+
+        done, spinning = System(make_config()), System(make_config())
+        done.add_process(assemble("halt"))
+        spinning.add_process(assemble("x: ba x\nhalt"))
+        cluster = Cluster([done, spinning])
+        with pytest.raises(DeadlockError) as exc:
+            cluster.run(max_cycles=2_000)
+        assert exc.value.cycle == 2_000
+        (core,) = exc.value.snapshot["cores"]
+        assert core["pid"] == spinning.core.context.pid
+        assert core["rob"] > 0
+        report = exc.value.report().splitlines()
+        assert any(line.startswith("core 0 ") for line in report)
+
     def test_unaligned_uncached_store_rejected(self):
         system = System(make_config())
         system.add_process(

@@ -1,37 +1,60 @@
-"""Quiet-tick sleeping changes nothing a simulation computes.
+"""Quiet-tick sleeping, the clock jump and issue parking change nothing a
+simulation computes.
 
 A stalled core sleeps instead of re-running its stages (see
 :meth:`repro.cpu.core.Core.tick`): it re-applies one quiet tick's counter
 increments each cycle until one of its timers could change the outcome,
 the bus accepts a transaction, or the scheduler or a value delivery wakes
-it.  Every run here executes twice — once as shipped and once with
-sleeping disabled by monkeypatching ``Core._try_sleep`` — and the cycle
-count, every counter, the marks, the transaction records, the metrics
-snapshot and the pipeline trace must agree exactly.
+it.  While every core sleeps or has no live context, the clock driver
+jumps to the earliest cycle any component could act
+(:meth:`repro.sim.system.System.advance`).  The issue stage parks an entry
+whose producer has no ready cycle yet until that cycle is recorded.
+
+Every run here executes four times: as shipped; with the jump disabled
+(``System._next_event`` monkeypatched to return the current cycle); with
+the issue stage replaced by :func:`scanning_issue`, the scanning issue
+stage kept verbatim as the reference; and with all three mechanisms off.
+The cycle count, every counter, the marks, the transaction records, the
+metrics snapshot and the pipeline trace must agree exactly.
 """
 
 from __future__ import annotations
 
+from typing import List
+
 import pytest
 
-from repro.common.config import MemoryConfig, SamplingConfig, SystemConfig
-from repro.common.errors import DeadlockError
+from repro.common.config import (
+    MemoryConfig,
+    MemoryHierarchyConfig,
+    SamplingConfig,
+    SystemConfig,
+)
+from repro.common.errors import DeadlockError, SimulationError
 from repro.cpu.core import Core
+from repro.cpu.inflight import InFlight
+from repro.devices import nic
 from repro.devices.link import Link
+from repro.devices.ring import DescriptorRing
 from repro.devices.sink import BurstSink
+from repro.evaluation import crossover
 from repro.evaluation.rtt import _build_node
 from repro.evaluation.smp_contention import smp_contention_system
 from repro.faults.config import FaultConfig
 from repro.isa.assembler import assemble
+from repro.isa.instructions import FU_FP
 from repro.memory.layout import IO_COMBINING_BASE, IO_UNCACHED_BASE, PageAttr, Region
 from repro.sim.cluster import Cluster
 from repro.sim.sampling import run_sampled
 from repro.sim.system import System
 from repro.workloads.contention import contending_csb_kernel
+from repro.workloads.lockbench import DEFAULT_LOCK_ADDR
+from repro.workloads.messaging import dma_send_kernel, pio_send_kernel
 from repro.workloads.pingpong import ping_kernel, pong_kernel
 from repro.workloads.random_programs import generate_program
 from repro.workloads.spec import TraceWorkload
 from repro.workloads.storebw import store_kernel_uncached
+from repro.workloads.traces.compile import ring_region
 from repro.workloads.traces.replay import TraceReplay
 
 from tests.conftest import make_config, registry_targets, run_signature
@@ -50,22 +73,109 @@ def _never_sleep(self, now, probe):
     """Stand-in for ``Core._try_sleep``: the core ticks through."""
 
 
+def _never_jump(self, cycle, limit):
+    """Stand-in for ``System._next_event``: the clock never jumps."""
+    return cycle
+
+
+def scanning_issue(self, now: int) -> None:
+    """The issue stage before parking, verbatim: an entry whose producer
+    has no ready cycle yet is rescanned every cycle."""
+    queue = self._issueq
+    if not queue:
+        return
+    ready_map = self._ready
+    ready_get = ready_map.get
+    kept: List[InFlight] = []
+    for flight in queue:
+        # Producers' ready cycles never move earlier once recorded, so a
+        # failed dependency check yields a cycle before which re-checking
+        # is pointless (0 = a producer's timing is still unknown).
+        if flight.stall_until > now:
+            kept.append(flight)
+            continue
+        wait = 0
+        blocked = False
+        for producer in flight.dep_list:
+            cycle = ready_get(producer)
+            if cycle is None:
+                blocked = True
+                wait = 0
+                break
+            if cycle > now:
+                blocked = True
+                if cycle > wait:
+                    wait = cycle
+        if blocked:
+            flight.stall_until = wait
+            kept.append(flight)
+            continue
+        instr = flight.instr
+        fu = instr.fu
+        if not self.fus.acquire(fu):
+            kept.append(flight)
+            continue
+        flight.issued = True
+        latency = (
+            self.config.fp_latency if fu == FU_FP else self.config.int_latency
+        )
+        if instr.is_branch and not self.config.perfect_branch_prediction:
+            latency += self.config.branch_mispredict_penalty
+        if not flight.value_known and instr.destination() is not None:
+            if not flight.operands_known(self._values):
+                raise SimulationError(
+                    f"issued {instr!r} with unknown operand values"
+                )
+            self._compute_value(flight)
+        ready = now + latency
+        flight.ready_at = ready
+        ready_map[flight.seq] = ready
+        if self.trace is not None:
+            self.trace.record(now, "issue", flight.seq, flight.pc, instr)
+        self._n_issued.value += 1
+    self._issueq = kept
+
+
 def _slept(systems):
     return sum(core.slept_ticks for system in systems for core in system.cores)
 
 
-def _both(monkeypatch, run):
-    """``run()`` once with sleeping disabled, once as shipped.
+def _jumped(systems):
+    return sum(system.jumped_cycles for system in systems)
 
-    ``run`` returns ``(signature, systems)``; the result is the two
-    signatures and the number of cycles the shipped run slept through.
+
+def _parked(systems):
+    return sum(core.parked_entries for system in systems for core in system.cores)
+
+
+def _both(monkeypatch, run):
+    """``run()`` as shipped and against three references.
+
+    ``run`` returns ``(signature, systems)``.  The references are the
+    shipped code with the clock jump off, the shipped code with the
+    scanning issue stage, and a run with sleeping, the jump and parking
+    all off; the first two must equal the shipped run.  The result is the
+    all-off signature, the shipped one and the shipped run's systems.
     """
     with monkeypatch.context() as patch:
         patch.setattr(Core, "_try_sleep", _never_sleep)
+        patch.setattr(System, "_next_event", _never_jump)
+        patch.setattr(Core, "_issue", scanning_issue)
         awake, awake_systems = run()
-    assert _slept(awake_systems) == 0
+    assert _slept(awake_systems) == _jumped(awake_systems) == 0
+    assert _parked(awake_systems) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(System, "_next_event", _never_jump)
+        ticked, ticked_systems = run()
+    assert _jumped(ticked_systems) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(Core, "_issue", scanning_issue)
+        scanned, scanned_systems = run()
+    assert _parked(scanned_systems) == 0
     asleep, systems = run()
-    return awake, asleep, _slept(systems)
+    assert ticked == asleep
+    assert scanned == asleep
+    return awake, asleep, systems
 
 
 def _program_run(source, config, window=None):
@@ -105,9 +215,10 @@ def test_sleeping_happens_on_a_bus_bound_store_stream(monkeypatch):
     # slower than the core, so most cycles are quiet.
     config = make_config(cpu_ratio=6, line_size=64, trace=True)
     run = _program_run(store_kernel_uncached(1024), config)
-    awake, asleep, slept = _both(monkeypatch, run)
+    awake, asleep, systems = _both(monkeypatch, run)
     assert asleep == awake
-    assert slept > awake["cycle"] // 2
+    assert _slept(systems) > awake["cycle"] // 2
+    assert _jumped(systems) > 0
     assert awake["stats"]["uncached.full_stalls"] > 0
 
 
@@ -120,9 +231,11 @@ def test_four_core_smp_contention(monkeypatch):
         system.run(max_cycles=MAX_CYCLES)
         return run_signature(system), [system]
 
-    awake, asleep, slept = _both(monkeypatch, run)
+    awake, asleep, systems = _both(monkeypatch, run)
     assert asleep == awake
-    assert slept > 0
+    assert _slept(systems) > 0
+    # Backoff sub -> brnz chains wait on producers not yet issued.
+    assert _parked(systems) > 0
 
 
 def test_quantum_preemption(monkeypatch):
@@ -140,9 +253,9 @@ def test_quantum_preemption(monkeypatch):
         system.run(max_cycles=MAX_CYCLES)
         return run_signature(system), [system]
 
-    awake, asleep, slept = _both(monkeypatch, run)
+    awake, asleep, systems = _both(monkeypatch, run)
     assert asleep == awake
-    assert slept > 0
+    assert _slept(systems) > 0
     assert awake["stats"]["core.squashed"] > 0
 
 
@@ -159,9 +272,9 @@ def test_faulted_bus(monkeypatch):
         system.run(max_cycles=MAX_CYCLES)
         return run_signature(system), [system]
 
-    awake, asleep, slept = _both(monkeypatch, run)
+    awake, asleep, systems = _both(monkeypatch, run)
     assert asleep == awake
-    assert slept > 0
+    assert _slept(systems) > 0
     for site in ("faults.bus_nack", "faults.bus_stall", "faults.device_timeout"):
         assert awake["stats"][site] > 0
 
@@ -176,10 +289,183 @@ def _miss_heavy_loads(lines):
 def test_dcache_at_mshr_capacity(monkeypatch):
     config = SystemConfig(mem=MemoryConfig(enabled=True, mshrs=2), trace=True)
     run = _program_run(_miss_heavy_loads(16), config)
-    awake, asleep, slept = _both(monkeypatch, run)
+    awake, asleep, systems = _both(monkeypatch, run)
     assert asleep == awake
-    assert slept > 0
+    assert _slept(systems) > 0
     assert awake["metrics"]["cache"]["mshr_stall_cycles"] > 0
+
+
+# -- what the clock jump waits for ---------------------------------------------
+
+
+def _misses_and_uncached_stores(lines):
+    """Cached loads that miss, interleaved with uncached stores: refills
+    and write-backs compete with programmed I/O for the bus."""
+    body = []
+    for i in range(lines):
+        body.append(f"ldx [%o0+{i * 64}], %l{i % 8}")
+        body.append(f"stx %l0, [%o1+{i * 8}]")
+    setup = ["set 0x8000, %o0", f"set {IO_UNCACHED_BASE}, %o1", "mark 1"]
+    return "\n".join([*setup, *body, "mark 2", "halt"])
+
+
+@pytest.mark.parametrize("stall_rate", [0.0, 0.5])
+def test_refills_on_the_bus(monkeypatch, stall_rate):
+    config = SystemConfig(
+        memory=MemoryHierarchyConfig.with_line_size(64, refills_use_bus=True),
+        faults=FaultConfig(seed=5, refill_stall_rate=stall_rate),
+        trace=True,
+    )
+    run = _program_run(_misses_and_uncached_stores(12), config)
+    awake, asleep, systems = _both(monkeypatch, run)
+    assert asleep == awake
+    assert _jumped(systems) > 0
+    assert awake["stats"]["refill.issued"] > 0
+    assert (awake["stats"].get("faults.refill_stall", 0) > 0) == (stall_rate > 0)
+
+
+def _dirty_victims():
+    """Stores to lines sharing one D-cache set, then uncached stores:
+    dirty victims queue write-backs that drain after the halt."""
+    stores = [f"stx %l0, [%o0+{k * 8192}]" for k in range(6)]
+    uncached = [f"stx %l0, [%o1+{k * 8}]" for k in range(4)]
+    setup = ["set 0x8000, %o0", f"set {IO_UNCACHED_BASE}, %o1"]
+    return "\n".join([*setup, *stores, *uncached, "halt"])
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        FaultConfig(),
+        FaultConfig(seed=3, refill_stall_rate=0.5, bus_nack_rate=0.3),
+    ],
+    ids=["clean", "faulted"],
+)
+def test_dcache_dirty_victims_drain_after_the_halt(monkeypatch, faults):
+    mem = MemoryConfig(enabled=True, mshrs=2, bus_traffic=True)
+    config = make_config(mem=mem, faults=faults, trace=True)
+    awake, asleep, systems = _both(monkeypatch, _program_run(_dirty_victims(), config))
+    assert asleep == awake
+    assert _jumped(systems) > 0
+    assert awake["stats"]["writeback.issued"] > 0
+
+
+@pytest.mark.parametrize("method", crossover.METHODS)
+def test_nic_and_dma_sends(monkeypatch, method):
+    payload = 256
+
+    def run():
+        system, nic = crossover._build_system(method)
+        if method == "dma":
+            system.backing.fill(crossover._PAYLOAD_SRC, payload, 0xA5)
+            source = dma_send_kernel(
+                crossover._PAYLOAD_SRC, payload, crossover._DMA_BASE
+            )
+        elif method == "csb":
+            source = crossover._csb_multi_line_kernel(
+                payload, crossover._NIC_COMBINING, system.config.csb.line_size
+            )
+        else:
+            source = pio_send_kernel(
+                payload, crossover._NIC_UNCACHED, lock_addr=DEFAULT_LOCK_ADDR
+            )
+        system.add_process(assemble(source, name=f"{method}-send"))
+        system.run(max_cycles=MAX_CYCLES)
+        signature = run_signature(system)
+        signature["sent"] = [
+            (packet.payload, packet.inline, packet.pushed_at, packet.sent_at)
+            for packet in nic.sent
+        ]
+        return signature, [system]
+
+    awake, asleep, systems = _both(monkeypatch, run)
+    assert asleep == awake
+    assert awake["sent"]
+
+
+def test_nic_queue_drains_while_the_core_polls(monkeypatch):
+    # Two descriptors queue in the NIC's FIFO: the second waits out the
+    # first one's serialization, a device timer that falls where the
+    # core, between polls of the sent count, sleeps on the bus (bus
+    # cycle 38 of a jump over 37-39 without the timer).
+    nic_base = IO_UNCACHED_BASE
+    source = "\n".join(
+        [
+            f"set {nic_base}, %o0",
+            "set 64, %l0",
+            f"stx %l0, [%o0+{nic.TX_FIFO_OFFSET}]",
+            f"set {(64 << 16) | 64}, %l1",
+            f"stx %l1, [%o0+{nic.TX_FIFO_OFFSET}]",
+            "set 2, %l3",
+            ".POLL:",
+            f"ldx [%o0+{nic.TX_COUNT_OFFSET}], %l2",
+            "sub %l3, %l2, %l4",
+            "brnz %l4, .POLL",
+            "halt",
+        ]
+    )
+
+    def run():
+        system = System(make_config(cpu_ratio=2, trace=True))
+        device = nic.NetworkInterface(
+            Region(nic_base, 128 * 1024, PageAttr.UNCACHED, "nic"), tx_cycles=35
+        )
+        system.attach_device(device)
+        system.add_process(assemble(source, name="nic-queue"))
+        system.run(max_cycles=MAX_CYCLES)
+        signature = run_signature(system)
+        signature["sent"] = [(p.pushed_at, p.sent_at) for p in device.sent]
+        return signature, [system]
+
+    awake, asleep, systems = _both(monkeypatch, run)
+    assert asleep == awake
+    assert awake["sent"][1][1] == 38
+    assert _jumped(systems) > 0
+
+
+def test_ring_first_ticked_inside_a_jump(monkeypatch):
+    # A ring attached while the core waits out cache misses: its first
+    # tick, which counts one cycle whatever the gap, falls inside a jump
+    # over cycles 20-102.
+    base, size = ring_region(0)
+
+    def run():
+        system = System(make_config(cpu_ratio=6, trace=True))
+        system.add_process(assemble(_miss_heavy_loads(4)))
+        system.advance(until=20)
+        ring = DescriptorRing(Region(base, size, PageAttr.UNCACHED, "late"))
+        system.attach_device(ring)
+        system.run(max_cycles=MAX_CYCLES)
+        signature = run_signature(system)
+        signature["ring"] = (ring.ticks, ring.occupancy_integral)
+        return signature, [system]
+
+    awake, asleep, systems = _both(monkeypatch, run)
+    assert asleep == awake
+    assert _jumped(systems) > 0
+
+
+@pytest.mark.parametrize("chunk", [5, 97])
+def test_until_chunks_end_inside_jumps(monkeypatch, chunk):
+    # Figure 3e's regime (below): the machine waits on a bus 6x slower
+    # than the core, so many chunks end in the middle of a wait.
+    config = make_config(cpu_ratio=6, line_size=64, trace=True)
+    source = store_kernel_uncached(256)
+
+    def run():
+        system = System(config)
+        system.add_process(assemble(source))
+        while not system.finished:
+            start = system.cycle
+            ran = system.advance(until=start + chunk, max_cycles=MAX_CYCLES)
+            assert ran == system.cycle - start
+        return run_signature(system), [system]
+
+    awake, asleep, systems = _both(monkeypatch, run)
+    assert asleep == awake
+    assert _jumped(systems) > 0
+    whole, _ = _program_run(source, config)()
+    assert asleep == whole
 
 
 # -- streamed replay, sampling, a cluster ---------------------------------------
@@ -201,9 +487,9 @@ def test_two_core_streamed_replay(monkeypatch, discipline):
         signature["windows"] = result.windows
         return signature, [replay.system]
 
-    awake, asleep, slept = _both(monkeypatch, run)
+    awake, asleep, systems = _both(monkeypatch, run)
     assert asleep == awake
-    assert slept > 0
+    assert _slept(systems) > 0
 
 
 def test_sampled_run(monkeypatch):
@@ -219,9 +505,9 @@ def test_sampled_run(monkeypatch):
         signature["sampling"] = system.sampling_report.to_dict()
         return signature, [system]
 
-    awake, asleep, slept = _both(monkeypatch, run)
+    awake, asleep, systems = _both(monkeypatch, run)
     assert asleep == awake
-    assert slept > 0
+    assert _slept(systems) > 0
 
 
 def test_cluster_ping_pong(monkeypatch):
@@ -241,9 +527,9 @@ def test_cluster_ping_pong(monkeypatch):
         }
         return signature, cluster.systems
 
-    awake, asleep, slept = _both(monkeypatch, run)
+    awake, asleep, systems = _both(monkeypatch, run)
     assert asleep == awake
-    assert slept > 0
+    assert _slept(systems) > 0
 
 
 # -- the no-progress watchdog ---------------------------------------------------
