@@ -14,6 +14,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from repro.common.errors import ConfigError
+from repro.common.serialize import Codec
+
 #: Severity levels, ordered from most to least severe.
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -22,7 +25,7 @@ SEVERITIES = (SEVERITY_ERROR, SEVERITY_WARNING)
 
 
 @dataclass(frozen=True)
-class Finding:
+class Finding(Codec):
     """One diagnostic emitted by the static checker.
 
     ``rule`` is a stable dotted identifier (``lock.double-acquire``,
@@ -44,42 +47,15 @@ class Finding:
         if self.severity not in SEVERITIES:
             raise ValueError(f"unknown severity {self.severity!r}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Stable machine-readable shape (see docs/static_analysis.md).
-
-        Every value is pinned to a plain JSON type here — severity through
-        the :data:`SEVERITIES` table, index through ``int`` — so the wire
-        shape cannot drift if the in-memory representation ever changes
-        (e.g. severities becoming an enum).
-        """
-        return {
-            "rule": str(self.rule),
-            "severity": SEVERITIES[SEVERITIES.index(self.severity)],
-            "index": int(self.index),
-            "instruction": str(self.instruction),
-            "message": str(self.message),
-            "hint": str(self.hint),
-            "program": str(self.program),
-        }
-
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected so schema
-        drift fails loudly in round-trip tests."""
-        known = {"rule", "severity", "index", "instruction", "message",
-                 "hint", "program"}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown finding fields: {sorted(extra)}")
-        return cls(
-            rule=str(data["rule"]),
-            severity=str(data["severity"]),
-            index=int(data["index"]),
-            instruction=str(data["instruction"]),
-            message=str(data["message"]),
-            hint=str(data.get("hint", "")),
-            program=str(data.get("program", "")),
-        )
+    def from_dict(cls, document: Dict[str, Any]) -> "Finding":
+        """Inverse of ``to_dict`` (the stable shape of
+        docs/static_analysis.md); unknown keys and mistyped values raise
+        ``ValueError``, the error every bad finding raises."""
+        try:
+            return super().from_dict(document)
+        except ConfigError as exc:
+            raise ValueError(str(exc)) from exc
 
     def render(self) -> str:
         """One-line human-readable form."""

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
+from repro.common.serialize import Codec, to_document
 from repro.analysis.mc.spec import SpecMachine, SpecState, is_local
 
 #: Safety cap on one core-local chain: a longer chain means the litmus
@@ -48,7 +49,7 @@ class Budget:
 
 
 @dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Codec):
     """One transition of an interleaving: the core that moved, the op
     indices it executed (several for a chained local run), and a human
     label."""
@@ -57,12 +58,9 @@ class TraceStep:
     ops: Tuple[int, ...]
     label: str
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"core": self.core, "ops": list(self.ops), "label": self.label}
-
 
 @dataclass(frozen=True)
-class Violation:
+class Violation(Codec):
     """One counterexample: the full interleaving from the initial state
     to the violating state, plus that state's rendering.
 
@@ -79,17 +77,6 @@ class Violation:
     schedule: Tuple[int, ...]
     trace: Tuple[TraceStep, ...] = field(compare=False)
     state: Dict[str, object] = field(compare=False)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "test": self.test,
-            "message": self.message,
-            "depth": self.depth,
-            "schedule": list(self.schedule),
-            "trace": [step.to_dict() for step in self.trace],
-            "state": self.state,
-        }
 
     def render(self) -> str:
         lines = [
@@ -119,17 +106,7 @@ class CheckResult:
         return not self.violations
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "test": self.test,
-            "description": self.description,
-            "states": self.states,
-            "transitions": self.transitions,
-            "max_depth_seen": self.max_depth_seen,
-            "complete": self.complete,
-            "mutation": self.mutation,
-            "ok": self.ok,
-            "violations": [v.to_dict() for v in self.violations],
-        }
+        return {**to_document(self), "ok": self.ok}
 
 
 def results_to_json(results: List[CheckResult], budget: Budget) -> str:

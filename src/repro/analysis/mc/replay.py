@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
+from repro.common.serialize import Codec, to_document
 from repro.cpu.context import ProcessContext
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
@@ -60,7 +61,7 @@ _STEP_CYCLE_CAP = 20_000
 
 
 @dataclass(frozen=True)
-class Divergence:
+class Divergence(Codec):
     """One spec/simulator mismatch during replay."""
 
     schedule_index: int
@@ -70,17 +71,6 @@ class Divergence:
     what: str
     expected: str
     actual: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schedule_index": self.schedule_index,
-            "step_index": self.step_index,
-            "core": self.core,
-            "op_index": self.op_index,
-            "what": self.what,
-            "expected": self.expected,
-            "actual": self.actual,
-        }
 
     def render(self) -> str:
         return (
@@ -104,13 +94,7 @@ class ReplayReport:
         return not self.divergences
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "test": self.test,
-            "schedules": self.schedules,
-            "steps": self.steps,
-            "ok": self.ok,
-            "divergences": [d.to_dict() for d in self.divergences],
-        }
+        return {**to_document(self), "ok": self.ok}
 
 
 def watched_words(test: LitmusTest) -> List[int]:

@@ -1,91 +1,211 @@
-"""Config serialization: SystemConfig <-> plain dictionaries.
+"""Serialization: one strict codec between dataclasses and plain documents.
 
-Experiment manifests (and the CSVs in ``expected_results/``) are only
-reproducible if the exact configuration travels with them;
-:func:`config_to_dict` / :func:`config_from_dict` round-trip every knob
-through JSON-compatible dictionaries, validating on the way back in.
+Experiment manifests, model-checker reports and the CSVs in
+``expected_results/`` are only reproducible if the exact records travel
+with them.  Every serializable record is a dataclass, and this module is
+the one place that knows how such a record becomes a JSON-compatible
+document and back:
+
+* :func:`to_document` writes the fields in declaration order, led by the
+  class's ``kind`` tag when it has one (a class attribute, not a field);
+  tuples become lists.
+* :func:`from_document` is its strict inverse: unknown keys, missing
+  required fields and wrongly typed values raise a :class:`ConfigError`
+  naming the document path (``campaign.jobs[4].workload.window must be
+  int, got '64'``).  It validates but never converts numbers, so an int
+  in a float field stays an int and content keys cannot move.  A
+  ``Union`` of tagged dataclasses is resolved by ``kind``.
+* :func:`digest` is the canonical-JSON SHA-256 every content key uses.
+* :class:`Codec` gives a record the public ``to_dict``/``from_dict``.
+
+:func:`config_to_dict` / :func:`config_from_dict` apply the codec to
+:class:`SystemConfig`; :func:`apply_overrides` merges a partial document
+over a config first.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import json
-from typing import Any, Dict
+import reprlib
+import typing
+from typing import Any, Dict, Optional, Tuple
 
-from repro.common.config import (
-    BusConfig,
-    CacheConfig,
-    CoreConfig,
-    CSBConfig,
-    MemoryConfig,
-    MemoryHierarchyConfig,
-    SamplingConfig,
-    SystemConfig,
-    UncachedBufferConfig,
-)
+from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
-from repro.faults.config import FaultConfig
 
-_SECTION_TYPES = {
-    "core": CoreConfig,
-    "memory": MemoryHierarchyConfig,
-    "bus": BusConfig,
-    "uncached": UncachedBufferConfig,
-    "csb": CSBConfig,
-    "faults": FaultConfig,
-    "sampling": SamplingConfig,
-    "mem": MemoryConfig,
-}
+_NONE = type(None)
 
-#: Whole-system scalar knobs of :class:`SystemConfig` (everything that is
-#: not a nested section).  Values pass through as-is; ``SystemConfig``'s
-#: own validation rejects bad ones.
-_SCALAR_FIELDS = (
-    "num_cores",
-    "arbitration",
-    "quantum",
-    "switch_penalty",
-    "bus_read_latency",
-    "trace",
-)
+
+def digest(document: Any) -> str:
+    """SHA-256 of the canonical JSON (sorted keys, no whitespace)."""
+    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _tag(cls) -> Optional[str]:
+    """The class-level ``kind`` tag, or None (a ``kind`` *field* is data)."""
+    if "kind" in cls.__dataclass_fields__:
+        return None
+    return getattr(cls, "kind", None)
+
+
+def to_document(record) -> Dict[str, Any]:
+    """A dataclass as a plain document (see the module docstring)."""
+    document: Dict[str, Any] = {}
+    tag = _tag(type(record))
+    if tag is not None:
+        document["kind"] = tag
+    for field in dataclasses.fields(record):
+        document[field.name] = _encode(getattr(record, field.name))
+    return document
+
+
+def _encode(value: Any) -> Any:
+    if dataclasses.is_dataclass(value):
+        return to_document(value)
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def _fields(cls) -> Tuple[Tuple[str, Any, bool], ...]:
+    """(name, type, required) per init field, resolved on first use."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (
+            field.name,
+            hints[field.name],
+            field.default is dataclasses.MISSING
+            and field.default_factory is dataclasses.MISSING,
+        )
+        for field in dataclasses.fields(cls)
+        if field.init
+    )
+
+
+def _mapping(document: Any, where: str) -> Dict[str, Any]:
+    if not isinstance(document, dict):
+        raise ConfigError(
+            f"{where} must be a mapping, got {reprlib.repr(document)}"
+        )
+    return document
+
+
+def _build(cls, document: Any, where: str):
+    document = _mapping(document, where)
+    fields = _fields(cls)
+    tag = _tag(cls)
+    known = {name for name, _, _ in fields}
+    if tag is not None:
+        known.add("kind")
+        if document.get("kind", tag) != tag:
+            raise ConfigError(
+                f"{where}.kind must be {tag!r}, "
+                f"got {reprlib.repr(document['kind'])}"
+            )
+    unknown = set(document) - known
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown fields {sorted(unknown, key=str)}"
+        )
+    values = {}
+    for name, hint, required in fields:
+        if name in document:
+            values[name] = from_document(
+                hint, document[name], f"{where}.{name}"
+            )
+        elif required:
+            raise ConfigError(f"{where}.{name} is required")
+    return cls(**values)
+
+
+def from_document(hint: Any, value: Any, where: str) -> Any:
+    """Check ``value`` against the type ``hint`` and build it: a dataclass,
+    a Union of ``kind``-tagged dataclasses, a tuple, list, dict, Optional
+    or scalar.  Errors name the document path, starting at ``where``."""
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, where)
+    origin = typing.get_origin(hint)
+    args = typing.get_args(hint)
+    if origin is typing.Union:
+        if value is None and _NONE in args:
+            return None
+        choices = [arg for arg in args if arg is not _NONE]
+        if len(choices) == 1:
+            return from_document(choices[0], value, where)
+        tags = {_tag(choice): choice for choice in choices}
+        kind = _mapping(value, where).get("kind")
+        if not isinstance(kind, str) or kind not in tags:
+            raise ConfigError(
+                f"{where}.kind must be one of {sorted(tags)}, "
+                f"got {reprlib.repr(kind)}"
+            )
+        return _build(tags[kind], value, where)
+    if origin in (tuple, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(
+                f"{where} must be a list, got {reprlib.repr(value)}"
+            )
+        if origin is tuple and args[-1:] != (Ellipsis,):
+            if len(value) != len(args):
+                raise ConfigError(
+                    f"{where} must have {len(args)} items, got {len(value)}"
+                )
+            hints = args
+        else:
+            hints = (args[0],) * len(value)
+        items = [
+            from_document(item_hint, item, f"{where}[{index}]")
+            for index, (item_hint, item) in enumerate(zip(hints, value))
+        ]
+        return tuple(items) if origin is tuple else items
+    if origin is dict:
+        return {
+            from_document(args[0], key, where): from_document(
+                args[1], item, f"{where}.{key}"
+            )
+            for key, item in _mapping(value, where).items()
+        }
+    if hint is object:
+        return value
+    if hint is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif hint is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, hint)
+    if not ok:
+        raise ConfigError(
+            f"{where} must be {hint.__name__}, got {reprlib.repr(value)}"
+        )
+    return value
+
+
+class Codec:
+    """``to_dict``/``from_dict`` for a dataclass, through the codec."""
+
+    def to_dict(self) -> Dict[str, Any]:
+        return to_document(self)
+
+    @classmethod
+    def from_dict(cls, document: Dict[str, Any]):
+        return from_document(cls, document, cls.__name__)
 
 
 def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
     """Flatten a SystemConfig into nested plain dictionaries."""
-    return dataclasses.asdict(config)
+    return to_document(config)
 
 
 def config_from_dict(data: Dict[str, Any]) -> SystemConfig:
     """Rebuild a SystemConfig; unknown sections or fields are errors."""
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a mapping")
-    unknown = set(data) - set(_SECTION_TYPES) - set(_SCALAR_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    sections: Dict[str, Any] = {}
-    for name, cls in _SECTION_TYPES.items():
-        if name not in data:
-            continue
-        sections[name] = _build(cls, data[name], where=name)
-    for name in _SCALAR_FIELDS:
-        if name in data:
-            sections[name] = data[name]
-    return SystemConfig(**sections)
-
-
-def _build(cls, values: Dict[str, Any], where: str):
-    if not isinstance(values, dict):
-        raise ConfigError(f"section {where!r} must be a mapping")
-    field_types = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(values) - set(field_types)
-    if unknown:
-        raise ConfigError(f"section {where!r}: unknown fields {sorted(unknown)}")
-    kwargs = {}
-    for key, value in values.items():
-        if key in ("l1", "l2") and isinstance(value, dict):
-            value = _build(CacheConfig, value, where=f"{where}.{key}")
-        kwargs[key] = value
-    return cls(**kwargs)
+    return from_document(SystemConfig, data, "config")
 
 
 def apply_overrides(
@@ -98,23 +218,18 @@ def apply_overrides(
     one knob and keeps everything else from ``config``.  Unknown sections
     or fields are errors, exactly as in :func:`config_from_dict`.
     """
-    if not isinstance(overrides, dict):
-        raise ConfigError("config overrides must be a mapping")
-    merged = config_to_dict(config)
-    unknown = set(overrides) - set(_SECTION_TYPES) - set(_SCALAR_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for name, value in overrides.items():
-        if name in _SECTION_TYPES and isinstance(value, dict):
-            section = dict(merged[name])
-            for key, sub in value.items():
-                if key in ("l1", "l2") and isinstance(sub, dict):
-                    sub = {**section[key], **sub}
-                section[key] = sub
-            merged[name] = section
-        else:
-            merged[name] = value
-    return config_from_dict(merged)
+    return config_from_dict(
+        _merge(config_to_dict(config), overrides, "config overrides")
+    )
+
+
+def _merge(base: Dict[str, Any], overrides: Any, where: str) -> Dict[str, Any]:
+    merged = dict(base)
+    for key, value in _mapping(overrides, where).items():
+        if isinstance(value, dict) and isinstance(merged.get(key), dict):
+            value = _merge(merged[key], value, f"{where}.{key}")
+        merged[key] = value
+    return merged
 
 
 def parse_field_assignment(cls, item: str, where: str):

@@ -26,14 +26,13 @@ docs/campaigns.md) so API consumers can rely on stable bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
-from repro.common.serialize import config_from_dict, config_to_dict
+from repro.common.serialize import Codec, digest, from_document, to_document
 from repro.evaluation.runner import (
     Job,
     Result,
@@ -42,11 +41,7 @@ from repro.evaluation.runner import (
     TraceJob,
     job_key,
 )
-from repro.workloads.spec import (
-    ProgramWorkload,
-    TraceWorkload,
-    workload_from_dict,
-)
+from repro.workloads.spec import ProgramWorkload, TraceWorkload, Workload
 
 #: Version tag of the manifest document format (the ``version`` field of
 #: every serialized manifest; unknown versions are rejected on revival).
@@ -58,22 +53,9 @@ RESULTS_SCHEMA = "csb-campaign-1"
 #: Job states a results document may report.
 JOB_STATUSES = ("done", "failed", "drained")
 
-Workload = Union[ProgramWorkload, TraceWorkload]
-
-
-def _digest(document: Dict[str, Any]) -> str:
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _reject_unknown(document: Dict[str, Any], known: Sequence[str], where: str) -> None:
-    unknown = set(document) - set(known)
-    if unknown:
-        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
-
 
 @dataclass(frozen=True)
-class JobSpec:
+class JobSpec(Codec):
     """One campaign entry: a workload, its configuration, a measurement.
 
     The serializable counterpart of one :class:`SimJob` or
@@ -134,34 +116,6 @@ class JobSpec:
         """Content hash of the job this spec expands to (name-free)."""
         return job_key(self.to_job())
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload.to_dict(),
-            "config": config_to_dict(self.config),
-            "measurement": self.measurement,
-            "args": list(self.args),
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "JobSpec":
-        if not isinstance(document, dict):
-            raise ConfigError("job spec document must be a mapping")
-        _reject_unknown(
-            document,
-            ("workload", "config", "measurement", "args", "name"),
-            "job spec",
-        )
-        if "workload" not in document:
-            raise ConfigError("job spec document needs a 'workload'")
-        return cls(
-            workload=workload_from_dict(document["workload"]),
-            config=config_from_dict(document.get("config", {})),
-            measurement=document.get("measurement", ""),
-            args=tuple(str(a) for a in document.get("args", ())),
-            name=document.get("name", ""),
-        )
-
 
 @dataclass(frozen=True)
 class CampaignManifest:
@@ -175,6 +129,8 @@ class CampaignManifest:
 
     name: str
     jobs: Tuple[JobSpec, ...]
+
+    kind = "campaign"
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -196,45 +152,30 @@ class CampaignManifest:
     def cache_key(self) -> str:
         """Content hash over the per-job cache keys (display names — the
         campaign's and every job's — are excluded by construction)."""
-        return _digest(
+        return digest(
             {
                 "version": MANIFEST_VERSION,
-                "kind": "campaign",
+                "kind": self.kind,
                 "jobs": [spec.cache_key() for spec in self.jobs],
             }
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": MANIFEST_VERSION,
-            "kind": "campaign",
-            "name": self.name,
-            "jobs": [spec.to_dict() for spec in self.jobs],
-        }
+        return {"version": MANIFEST_VERSION, **to_document(self)}
 
     @classmethod
     def from_dict(cls, document: Dict[str, Any]) -> "CampaignManifest":
-        if not isinstance(document, dict):
-            raise ConfigError("campaign document must be a mapping")
-        _reject_unknown(
-            document, ("version", "kind", "name", "jobs"), "campaign"
-        )
-        version = document.get("version", MANIFEST_VERSION)
-        if version != MANIFEST_VERSION:
-            raise ConfigError(
-                f"unsupported campaign manifest version {version!r} "
-                f"(this build reads {MANIFEST_VERSION})"
-            )
-        kind = document.get("kind", "campaign")
-        if kind != "campaign":
-            raise ConfigError(f"campaign document has kind {kind!r}")
-        jobs = document.get("jobs", [])
-        if not isinstance(jobs, (list, tuple)):
-            raise ConfigError("campaign 'jobs' must be a list")
-        return cls(
-            name=document.get("name", ""),
-            jobs=tuple(JobSpec.from_dict(entry) for entry in jobs),
-        )
+        """Strict inverse of :meth:`to_dict`; errors name the document
+        path (``campaign.jobs[0].workload.window must be int, ...``)."""
+        if isinstance(document, dict):
+            document = dict(document)
+            version = document.pop("version", MANIFEST_VERSION)
+            if version != MANIFEST_VERSION:
+                raise ConfigError(
+                    f"unsupported campaign manifest version {version!r} "
+                    f"(this build reads {MANIFEST_VERSION})"
+                )
+        return from_document(cls, document, "campaign")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -159,21 +159,21 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _section_from_flags(cls, items, flag: str, **defaults):
-    """Fold repeatable ``KEY=VALUE`` flags into one config-section
-    instance — the single parser behind ``--sample`` and ``--mem``
-    (``--tier sampled`` feeds the same path with no flags).  ``defaults``
-    fill in fields the flags left unset (e.g. ``enabled=True``)."""
+def _fields_from_flags(cls, items, flag: str) -> dict:
+    """Fold repeatable ``KEY=VALUE`` flags into the fields of one config
+    section, ``enabled`` defaulting to true, and check that they build
+    one: the parser behind ``--sample`` and ``--mem`` (``--tier sampled``
+    feeds it no flags)."""
     from repro.common.errors import ConfigError
     from repro.common.serialize import parse_field_assignments
 
     try:
         fields = parse_field_assignments(cls, items or [], flag)
-        for key, value in defaults.items():
-            fields.setdefault(key, value)
-        return cls(**fields)
+        fields.setdefault("enabled", True)
+        cls(**fields)
     except ConfigError as exc:
         raise SystemExit(f"error: {exc}")
+    return fields
 
 
 def _sampling_from_args(args: argparse.Namespace):
@@ -182,8 +182,8 @@ def _sampling_from_args(args: argparse.Namespace):
         return None
     from repro.common.config import SamplingConfig
 
-    return _section_from_flags(
-        SamplingConfig, args.sample, "--sample", enabled=True
+    return SamplingConfig(
+        **_fields_from_flags(SamplingConfig, args.sample, "--sample")
     )
 
 
@@ -198,16 +198,8 @@ def _mem_from_args(args: argparse.Namespace):
     if not args.mem:
         return None
     from repro.common.config import MemoryConfig
-    from repro.common.errors import ConfigError
-    from repro.common.serialize import parse_field_assignments
 
-    try:
-        fields = parse_field_assignments(MemoryConfig, args.mem, "--mem")
-        fields.setdefault("enabled", True)
-        MemoryConfig(**fields)  # fail fast on invalid combinations
-    except ConfigError as exc:
-        raise SystemExit(f"error: {exc}")
-    return fields
+    return _fields_from_flags(MemoryConfig, args.mem, "--mem")
 
 
 def _make_runner(
@@ -949,18 +941,21 @@ def _campaign_main(argv: List[str]) -> int:
     return 0
 
 
+#: Subcommands, each parsing its own arguments; anything else is a
+#: figure run.
+_SUBCOMMANDS = {
+    "profile": _profile_main,
+    "lint": _lint_main,
+    "mc": _mc_main,
+    "replay": _replay_main,
+    "campaign": _campaign_main,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "profile":
-        return _profile_main(argv[1:])
-    if argv and argv[0] == "lint":
-        return _lint_main(argv[1:])
-    if argv and argv[0] == "mc":
-        return _mc_main(argv[1:])
-    if argv and argv[0] == "replay":
-        return _replay_main(argv[1:])
-    if argv and argv[0] == "campaign":
-        return _campaign_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
     args = _parser().parse_args(argv)
     ids = experiment_ids()
     if args.list:

@@ -31,7 +31,6 @@ misses and recomputed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -58,7 +57,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.common.config import SamplingConfig, SystemConfig
 from repro.common.errors import ConfigError
-from repro.common.serialize import apply_overrides, config_to_dict
+from repro.common.serialize import apply_overrides, config_to_dict, digest
 from repro.common.tables import Table
 from repro.isa.assembler import assemble
 from repro.sim.system import System
@@ -291,11 +290,6 @@ def _measure(system: System, job: SimJob) -> Result:
     return raw
 
 
-def _digest(document: dict) -> str:
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def job_key(job: Job) -> str:
     """Content hash of everything that determines the job's result.
 
@@ -305,7 +299,7 @@ def job_key(job: Job) -> str:
     .cache_key`, so a renamed trace file with identical bytes still hits.
     """
     if isinstance(job, TraceJob):
-        return _digest(
+        return digest(
             {
                 "version": SIM_VERSION,
                 "kind": "trace-replay",
@@ -315,7 +309,7 @@ def job_key(job: Job) -> str:
                 "args": list(job.args),
             }
         )
-    return _digest(
+    return digest(
         {
             "version": SIM_VERSION,
             "config": config_to_dict(job.config),
@@ -346,14 +340,14 @@ def experiment_key(experiment_id: str, variant: str = "") -> str:
     }
     if variant:
         document["variant"] = variant
-    return _digest(document)
+    return digest(document)
 
 
 def entry_digest(document: dict) -> str:
     """Integrity digest of a cache entry: SHA-256 of the canonical JSON of
     everything except the ``sha256`` field itself."""
     payload = {k: v for k, v in document.items() if k != "sha256"}
-    return _digest(payload)
+    return digest(payload)
 
 
 class ResultCache:

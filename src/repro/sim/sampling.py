@@ -36,6 +36,7 @@ from typing import Dict, List, Tuple
 
 from repro.common.config import SamplingConfig
 from repro.common.errors import ConfigError, DeadlockError
+from repro.common.serialize import Codec, to_document
 from repro.sim.fastforward import FastForwarder
 
 #: Two-sided normal quantiles for the supported confidence levels.
@@ -43,7 +44,7 @@ Z_SCORES = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
 
 
 @dataclass(frozen=True)
-class WindowSample:
+class WindowSample(Codec):
     """One detailed measurement window."""
 
     index: int
@@ -52,18 +53,9 @@ class WindowSample:
     instructions: int
     store_bytes: int
 
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "index": self.index,
-            "start_cycle": self.start_cycle,
-            "cycles": self.cycles,
-            "instructions": self.instructions,
-            "store_bytes": self.store_bytes,
-        }
-
 
 @dataclass(frozen=True)
-class Estimate:
+class Estimate(Codec):
     """A sampled mean with its confidence-interval half-width."""
 
     mean: float
@@ -78,14 +70,6 @@ class Estimate:
     @property
     def high(self) -> float:
         return self.mean + self.half_width
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "mean": self.mean,
-            "half_width": self.half_width,
-            "samples": self.samples,
-            "confidence": self.confidence,
-        }
 
 
 def _estimate(samples: List[float], confidence: float) -> Estimate:
@@ -171,10 +155,8 @@ class SamplingReport:
         return ff_between * self.cpi.half_width
 
     def to_dict(self) -> Dict[str, object]:
-        import dataclasses
-
         return {
-            "config": dataclasses.asdict(self.config),
+            "config": to_document(self.config),
             "windows": [w.to_dict() for w in self.windows],
             "ff_instructions": self.ff_instructions,
             "ff_marks": dict(sorted(self.ff_marks.items())),

@@ -27,13 +27,14 @@ under the mutation that minted them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.common.errors import ConfigError
+from repro.common.serialize import Codec
 
 
 @dataclass(frozen=True)
-class CounterexampleWorkload:
+class CounterexampleWorkload(Codec):
     """One pinned counterexample interleaving of a litmus test."""
 
     name: str
@@ -109,25 +110,6 @@ class CounterexampleWorkload:
         raise ConfigError(
             f"counterexample {self.name!r} no longer violates "
             f"{self.litmus!r} under mutation {self.found_with!r}"
-        )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "litmus": self.litmus,
-            "description": self.description,
-            "schedule": list(self.schedule),
-            "found_with": self.found_with,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "CounterexampleWorkload":
-        return cls(
-            name=str(data["name"]),
-            litmus=str(data["litmus"]),
-            description=str(data["description"]),
-            schedule=tuple(int(c) for c in data["schedule"]),  # type: ignore[union-attr]
-            found_with=str(data.get("found_with", "")),
         )
 
 

@@ -12,12 +12,10 @@ cacheable and reproducible from its serialized form.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Union
+from typing import Iterator, List
 
 from repro.common.errors import ConfigError
-from repro.workloads.spec import ProgramWorkload, TraceWorkload
-
-Workload = Union[ProgramWorkload, TraceWorkload]
+from repro.workloads.spec import ProgramWorkload, TraceWorkload, Workload
 
 #: Synthetic traces the trace experiments and smoke tests draw from:
 #: a saturation point per discipline and one skewed multi-device stream.

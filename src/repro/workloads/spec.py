@@ -19,12 +19,12 @@ program jobs.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple, Union
 
 from repro.common.errors import ConfigError
+from repro.common.serialize import Codec, digest, from_document
 
 #: Store disciplines a trace can be replayed under.
 DISCIPLINES = ("csb", "lock", "uncached")
@@ -33,13 +33,8 @@ DISCIPLINES = ("csb", "lock", "uncached")
 SPEC_VERSION = "workload-spec-1"
 
 
-def _digest(document: dict) -> str:
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
-class ProgramWorkload:
+class ProgramWorkload(Codec):
     """A program-backed workload: named assembly sources, one per process.
 
     ``sources`` pairs each process's display name with its kernel text;
@@ -83,30 +78,10 @@ class ProgramWorkload:
             )
         return self.sources[0][1]
 
-    def to_dict(self) -> Dict:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "sources": [list(pair) for pair in self.sources],
-            "warm": list(self.warm),
-            "span": list(self.span),
-        }
-
-    @classmethod
-    def from_dict(cls, document: Dict) -> "ProgramWorkload":
-        return cls(
-            name=document["name"],
-            sources=tuple(
-                (str(n), str(s)) for n, s in document["sources"]
-            ),
-            warm=tuple(document.get("warm", ())),
-            span=tuple(document.get("span", ())),
-        )
-
     def cache_key(self) -> str:
         """Content hash of everything that determines what this workload
         executes (the display name is excluded, like SimJob names)."""
-        return _digest(
+        return digest(
             {
                 "version": SPEC_VERSION,
                 "kind": self.kind,
@@ -118,7 +93,7 @@ class ProgramWorkload:
 
 
 @dataclass(frozen=True)
-class TraceWorkload:
+class TraceWorkload(Codec):
     """A trace-backed workload: an I/O stream plus its replay discipline.
 
     ``source`` selects the stream:
@@ -181,36 +156,16 @@ class TraceWorkload:
         when the file lives at different paths."""
         if self.is_synthetic:
             return hashlib.sha256(self.source.encode("utf-8")).hexdigest()
-        digest = hashlib.sha256()
+        hasher = hashlib.sha256()
         with open(self.path(), "rb") as handle:
             for chunk in iter(lambda: handle.read(1 << 16), b""):
-                digest.update(chunk)
-        return digest.hexdigest()
-
-    def to_dict(self) -> Dict:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "source": self.source,
-            "discipline": self.discipline,
-            "window": self.window,
-            "devices": self.devices,
-        }
-
-    @classmethod
-    def from_dict(cls, document: Dict) -> "TraceWorkload":
-        return cls(
-            name=document["name"],
-            source=document["source"],
-            discipline=document.get("discipline", "csb"),
-            window=document.get("window", 256),
-            devices=document.get("devices", 0),
-        )
+                hasher.update(chunk)
+        return hasher.hexdigest()
 
     def cache_key(self) -> str:
         """Content hash: replaying the same stream under the same
         discipline/window is the same work, wherever the file lives."""
-        return _digest(
+        return digest(
             {
                 "version": SPEC_VERSION,
                 "kind": self.kind,
@@ -234,11 +189,9 @@ def bundled_trace_path(name: str) -> str:
     return path
 
 
-def workload_from_dict(document: Dict):
-    """Revive any workload spec ``to_dict`` produced."""
-    kind = document.get("kind")
-    if kind == "program":
-        return ProgramWorkload.from_dict(document)
-    if kind == "trace":
-        return TraceWorkload.from_dict(document)
-    raise ConfigError(f"unknown workload kind {kind!r}")
+Workload = Union[ProgramWorkload, TraceWorkload]
+
+
+def workload_from_dict(document: Dict[str, Any]) -> Workload:
+    """Revive any workload spec ``to_dict`` produced (by its ``kind``)."""
+    return from_document(Workload, document, "workload")

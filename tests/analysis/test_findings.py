@@ -136,6 +136,10 @@ class TestJsonStability:
         data["extra"] = 1
         with pytest.raises(ValueError):
             Finding.from_dict(data)
+        data = make().to_dict()
+        data["index"] = "3"
+        with pytest.raises(ValueError, match="index must be int"):
+            Finding.from_dict(data)
 
     def test_severity_values_are_pinned(self):
         # The wire values are part of the contract: exactly these strings.

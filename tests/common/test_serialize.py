@@ -12,6 +12,7 @@ from repro.common.config import (
 )
 from repro.common.errors import ConfigError
 from repro.common.serialize import (
+    apply_overrides,
     config_from_dict,
     config_from_json,
     config_to_dict,
@@ -89,6 +90,64 @@ class TestValidation:
             config_from_dict([1, 2, 3])
         with pytest.raises(ConfigError):
             config_from_dict({"bus": 7})
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"bus": {"cpu_ratio": "6"}},
+             r"config\.bus\.cpu_ratio must be int, got '6'"),
+            ({"memory": {"l1": 5}}, r"config\.memory\.l1 must be a mapping"),
+            ({"memory": {"l1": {"hit_latency": 3}}},
+             r"config\.memory\.l1\.size_bytes is required"),
+            ({"num_cores": True}, r"config\.num_cores must be int, got True"),
+            ({"quantum": "5"}, r"config\.quantum must be int"),
+            ({"faults": {"bus_nack_rate": "0.1"}},
+             r"config\.faults\.bus_nack_rate must be float"),
+            ({"turbo": {}}, r"config: unknown fields \['turbo'\]"),
+            ({1: 2, "turbo": {}}, r"config: unknown fields \[1, 'turbo'\]"),
+        ],
+    )
+    def test_mistyped_values_name_their_path(self, document, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(document)
+
+
+class TestCodecContracts:
+    def test_numbers_are_validated_never_converted(self):
+        # An int in a float field stays an int, so content keys that hash
+        # the document cannot move on a round trip.
+        config = config_from_dict({"faults": {"bus_nack_rate": 0}})
+        assert type(config.faults.bus_nack_rate) is int
+        assert config_to_dict(config)["faults"]["bus_nack_rate"] == 0
+        assert config_from_dict({"quantum": None}).quantum is None
+
+    def test_bus_kind_is_a_field_not_a_tag(self):
+        document = config_to_dict(SystemConfig(bus=BusConfig(kind="split")))
+        assert document["bus"]["kind"] == "split"
+        assert config_from_dict(document).bus.kind == "split"
+
+    def test_kind_tag_leads_and_selects_the_union_member(self):
+        from repro.workloads.spec import TraceWorkload, workload_from_dict
+
+        workload = TraceWorkload(name="t", source="synth:n=4,seed=1")
+        document = workload.to_dict()
+        assert list(document)[:2] == ["kind", "name"]
+        assert workload_from_dict(document) == workload
+        with pytest.raises(ConfigError, match=r"workload\.kind must be one of"):
+            workload_from_dict({k: v for k, v in document.items() if k != "kind"})
+        with pytest.raises(ConfigError, match="kind must be 'trace'"):
+            TraceWorkload.from_dict({**document, "kind": "program"})
+        with pytest.raises(ConfigError, match=r"got \['trace'\]"):
+            workload_from_dict({**document, "kind": ["trace"]})
+
+    def test_overrides_merge_recursively_and_reject_unknown_fields(self):
+        merged = apply_overrides(
+            SystemConfig(), {"memory": {"l2": {"hit_latency": 12}}}
+        )
+        assert merged.memory.l2.hit_latency == 12
+        assert merged.memory.l1 == SystemConfig().memory.l1
+        with pytest.raises(ConfigError, match=r"config\.memory\.l2: unknown"):
+            apply_overrides(SystemConfig(), {"memory": {"l2": {"ways": 2}}})
 
 
 class TestUsableInSystems:

@@ -1,5 +1,6 @@
 """Campaign manifests: lowering, content addressing, serial execution."""
 
+import copy
 import json
 
 import pytest
@@ -37,6 +38,30 @@ def tiny_manifest(name="tiny"):
     return CampaignManifest(
         name=name, jobs=(small_spec(16), small_spec(16, "csb"))
     )
+
+
+def malformed_manifests():
+    """Manifest texts from outside that must be refused, each with the
+    document path the refusal has to name: a trace workload without a
+    ``name``, and one whose ``window`` is a string."""
+    document = CampaignManifest(
+        name="malformed",
+        jobs=(
+            JobSpec(
+                workload=TraceWorkload(
+                    name="t", source="synth:n=10,seed=1,gap=40", window=8
+                )
+            ),
+        ),
+    ).to_dict()
+    nameless = copy.deepcopy(document)
+    del nameless["jobs"][0]["workload"]["name"]
+    stringly = copy.deepcopy(document)
+    stringly["jobs"][0]["workload"]["window"] = "64"
+    return [
+        (json.dumps(nameless), "campaign.jobs[0].workload.name"),
+        (json.dumps(stringly), "campaign.jobs[0].workload.window"),
+    ]
 
 
 class TestJobSpec:
@@ -163,6 +188,36 @@ class TestCampaignManifest:
 
     def test_serialized_version_tag(self):
         assert tiny_manifest().to_dict()["version"] == MANIFEST_VERSION
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["jobs"][4]["workload"].pop("name"),
+             r"campaign\.jobs\[4\]\.workload\.name is required"),
+            (lambda d: d["jobs"][4]["workload"].update(window="64"),
+             r"campaign\.jobs\[4\]\.workload\.window must be int, got '64'"),
+            (lambda d: d["jobs"][4]["workload"].update(windw=64),
+             r"campaign\.jobs\[4\]\.workload: unknown fields \['windw'\]"),
+            (lambda d: d["jobs"][0]["workload"].update(sources=[["a"]]),
+             r"campaign\.jobs\[0\]\.workload\.sources\[0\] must have 2 items"),
+            (lambda d: d["jobs"][0]["workload"].update(kind="quantum"),
+             r"campaign\.jobs\[0\]\.workload\.kind must be one of"),
+            (lambda d: d["jobs"][0].update(args=5),
+             r"campaign\.jobs\[0\]\.args must be a list, got 5"),
+            (lambda d: d["jobs"][0].update(args=[5]),
+             r"campaign\.jobs\[0\]\.args\[0\] must be str"),
+            (lambda d: d["jobs"][0].update(workload=[1]),
+             r"campaign\.jobs\[0\]\.workload must be a mapping"),
+            (lambda d: d.update(name=7), r"campaign\.name must be str, got 7"),
+            (lambda d: d["jobs"][1]["config"]["bus"].update(cpu_ratio="6"),
+             r"campaign\.jobs\[1\]\.config\.bus\.cpu_ratio must be int"),
+        ],
+    )
+    def test_malformed_documents_name_their_path(self, edit, message):
+        document = example_manifest().to_dict()
+        edit(document)
+        with pytest.raises(ConfigError, match=message):
+            CampaignManifest.from_dict(document)
 
 
 class TestResultsDocument:

@@ -15,7 +15,7 @@ from repro.evaluation.campaign import (
     run_campaign,
 )
 from repro.evaluation.cli import main
-from tests.evaluation.test_campaign import tiny_manifest
+from tests.evaluation.test_campaign import malformed_manifests, tiny_manifest
 
 
 @pytest.fixture
@@ -66,9 +66,12 @@ class TestRun:
 
     def test_invalid_manifest_errors(self, dirs, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text('{"version": "other"}')
-        status, _ = run_cli(["campaign", "run", str(path)], capsys)
-        assert status == 2
+        cases = [('{"version": "other"}', "version"), *malformed_manifests()]
+        for text, where in cases:
+            path.write_text(text)
+            status = main(["campaign", "run", str(path)])
+            assert status == 2
+            assert where in capsys.readouterr().err
 
 
 class TestStatus:

@@ -178,6 +178,10 @@ class TestUnknownKeyRejection:
         nested["jobs"][0][bogus] = 1
         with pytest.raises(ConfigError, match=bogus):
             CampaignManifest.from_dict(nested)
+        inner = manifest.to_dict()
+        inner["jobs"][0]["workload"][bogus] = 1
+        with pytest.raises(ConfigError, match=bogus):
+            CampaignManifest.from_dict(inner)
 
     def test_config_rejects_random_unknown_sections_and_fields(self, seed):
         rng = random.Random(5000 + seed)

@@ -8,9 +8,19 @@ reshape the bytes.  The ``job``/``campaign`` keys hash the full default
 ``SystemConfig`` plus ``SIM_VERSION``, so an intentional simulator or
 config-default change moves them; regenerate with the snippet in this
 file's history and review the diff like any expected-results update.
+
+The manifest document ``golden_manifest().to_json()`` is pinned the same
+way, in golden/golden-campaign.manifest.json: it is what ``campaign run``
+reads and ``POST /campaigns`` accepts, so every field name, the nesting
+and every default config value are wire format.  Regenerate with
+``PYTHONPATH=src python -c "import sys; from
+tests.evaluation.test_schema_golden import golden_manifest;
+sys.stdout.write(golden_manifest().to_json())"`` only for an intentional
+format change.
 """
 
 import json
+import os
 
 from repro.evaluation.campaign import (
     RESULTS_SCHEMA,
@@ -23,6 +33,10 @@ from repro.evaluation.campaign import (
 from repro.workloads.spec import ProgramWorkload, TraceWorkload
 
 KERNEL = "set 1, %l0\nset 64, %o1\nstx %l0, [%o1+0]\nhalt"
+
+GOLDEN_MANIFEST = os.path.join(
+    os.path.dirname(__file__), "golden", "golden-campaign.manifest.json"
+)
 
 
 def golden_manifest():
@@ -107,6 +121,12 @@ class TestGoldenBytes:
         assert list(document) == sorted(document)
         for entry in document["results"]:
             assert list(entry) == sorted(entry)
+
+    def test_manifest_bytes_are_pinned(self):
+        with open(GOLDEN_MANIFEST, "r", encoding="utf-8") as handle:
+            golden = handle.read()
+        assert golden_manifest().to_json() == golden
+        assert CampaignManifest.from_json(golden) == golden_manifest()
 
     def test_manifest_bytes_round_trip_through_the_golden_shape(self):
         manifest = golden_manifest()

@@ -21,7 +21,7 @@ from repro.evaluation.service import (
     default_state_dir,
     make_server,
 )
-from tests.evaluation.test_campaign import tiny_manifest
+from tests.evaluation.test_campaign import malformed_manifests, tiny_manifest
 
 BAD_KEY = "f" * 64
 
@@ -173,9 +173,12 @@ class TestHttpApi:
             assert excinfo.value.code == 404
 
     def test_invalid_manifest_post_400(self, api):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            post(f"{api}/campaigns", b'{"version": "nope"}')
-        assert excinfo.value.code == 400
+        cases = [('{"version": "nope"}', "version"), *malformed_manifests()]
+        for body, path in cases:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(f"{api}/campaigns", body.encode("utf-8"))
+            assert excinfo.value.code == 400
+            assert path in json.load(excinfo.value)["error"]
 
     def test_post_to_wrong_route_404(self, api):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
