@@ -32,31 +32,27 @@ from __future__ import annotations
 
 from collections import deque
 from operator import attrgetter
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.common.config import CoreConfig
 from repro.common.errors import DeadlockError, SimulationError
 from repro.common.stats import Counter, StatsCollector
 from repro.cpu.context import ProcessContext
+from repro.cpu.decode import (
+    DecodedOp,
+    ROUTE_ISSUE,
+    ROUTE_ISSUED,
+    ROUTE_MEMQ,
+    ROUTE_UNTIMED,
+    decode_program,
+)
 from repro.cpu.inflight import InFlight, MemState
 from repro.cpu.trace import PipelineTrace
 from repro.cpu.units import FunctionalUnitPool
 from repro.isa import semantics
 from repro.isa.disassembler import disassemble_instruction
-from repro.isa.instructions import (
-    AluInstruction,
-    BLOCK_STORE_REGS,
-    BlockStoreInstruction,
-    BranchInstruction,
-    CompareInstruction,
-    FU_FP,
-    LoadInstruction,
-    LoadLinkedInstruction,
-    SetInstruction,
-    StoreConditionalInstruction,
-    StoreInstruction,
-    SwapInstruction,
-)
+from repro.isa.instructions import BLOCK_STORE_REGS, FU_FP
+from repro.isa.registers import MASK64
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.layout import PageAttr
 from repro.memory.tlb import AttributeTLB
@@ -95,7 +91,14 @@ class Core:
         self.fus = FunctionalUnitPool(config)
         self.context: Optional[ProcessContext] = None
         self._rob: Deque[InFlight] = deque()
+        #: every dispatched memory operation, in program order: store
+        #: disambiguation, the sleep probe and snapshots read all of it
         self._memq: List[InFlight] = []
+        #: what the memory-queue stage walks instead (see _memq_issue)
+        self._memq_wait: List[InFlight] = []
+        self._memq_access: List[InFlight] = []
+        #: the installed program's per-pc decode table (repro.cpu.decode)
+        self._ops: List[DecodedOp] = []
         #: dispatched ALU/FP/branch instructions awaiting a functional unit,
         #: in dispatch (= program) order; removed once issued.  Keeping this
         #: separate from the ROB turns the issue stage from an O(ROB) scan
@@ -156,6 +159,7 @@ class Core:
         if self._rob:
             raise SimulationError("cannot switch context with instructions in flight")
         self.context = context
+        self._ops = decode_program(context.program)
         self._spec_pc = context.pc
         self._fetch_stopped = context.halted
         self._drain_requested = False
@@ -164,6 +168,8 @@ class Core:
         self._values.clear()
         self._ready.clear()
         self._memq.clear()
+        self._memq_wait.clear()
+        self._memq_access.clear()
         self._issueq.clear()
         self._parked.clear()
         self._woken.clear()
@@ -427,103 +433,90 @@ class Core:
 
     def _dispatch(self, now: int) -> None:
         assert self.context is not None
-        # Hot loop: config limits, queues, and the (usually-None) trace are
-        # hoisted to locals instead of being re-resolved per instruction.
+        # Hot loop: config limits, queues, the decode table, the register
+        # mapping and the (usually-None) trace are hoisted to locals
+        # instead of being re-resolved per instruction.
         config = self.config
         rob = self._rob
         memq = self._memq
         rob_entries = config.rob_entries
         memq_entries = config.memq_entries
-        fetch = self.context.program.fetch
+        ops = self._ops
+        spec_map = self._spec_map
+        values = self._values
+        registers = self.context.registers.raw_values
         trace = self.trace
         budget = config.dispatch_width
         while budget > 0:
             if len(rob) >= rob_entries:
                 self.stats.bump("core.rob_full_stalls")
                 return
-            instr = fetch(self._spec_pc)
-            if instr is None:
-                raise SimulationError(
-                    f"fetch ran past the program end at pc={self._spec_pc}"
-                )
-            if instr.is_mem and not instr.is_membar:
-                if len(memq) >= memq_entries:
-                    self.stats.bump("core.memq_full_stalls")
-                    return
-            flight = InFlight(self._next_seq(), instr, self._spec_pc, now)
-            if not self._capture_operands(flight):
-                self._seq -= 1  # instruction was not actually dispatched
-                self.stats.bump("core.frontend_value_stalls")
+            pc = self._spec_pc
+            if pc >= len(ops):
+                raise SimulationError(f"fetch ran past the program end at pc={pc}")
+            op = ops[pc]
+            route = op.route
+            if route == ROUTE_MEMQ and len(memq) >= memq_entries:
+                self.stats.bump("core.memq_full_stalls")
                 return
+            # Source operands: known values into src_vals, in-flight
+            # producers into dep_seqs.  A branch condition or memory
+            # operand whose value is not yet known stalls the frontend.
+            src_vals: Dict[str, int] = {}
+            dep_seqs: Dict[str, int] = {}
+            for reg in op.sources:
+                producer = spec_map.get(reg)
+                if producer is None:
+                    src_vals[reg] = registers[reg]  # r0 reads as 0
+                    continue
+                dep_seqs[reg] = producer
+                if producer in values:
+                    src_vals[reg] = values[producer]
+                elif op.needs_values:
+                    self.stats.bump("core.frontend_value_stalls")
+                    return
+            flight = InFlight(self._next_seq(), op, pc, now, src_vals, dep_seqs)
             self._apply_dispatch_effects(flight)
             if trace is not None:
-                trace.record(now, "dispatch", flight.seq, flight.pc, instr)
-            if not instr.is_branch:
-                self._spec_pc = flight.pc + 1
+                trace.record(now, "dispatch", flight.seq, pc, op.instr)
+            if not op.is_branch:
+                self._spec_pc = pc + 1
             rob.append(flight)
-            if instr.is_mem and not instr.is_membar:
+            if route == ROUTE_MEMQ:
                 memq.append(flight)
-            elif not (instr.is_mark or instr.is_halt or instr.is_membar):
-                if instr.fu == "none":
-                    flight.issued = True  # nothing to issue (no FU class)
-                else:
-                    self._issueq.append(flight)
-            if instr.is_halt:
+                if flight.attr is PageAttr.CACHED and not op.atomic:
+                    self._memq_wait.append(flight)
+            elif route == ROUTE_ISSUE:
+                self._issueq.append(flight)
+            elif route == ROUTE_ISSUED:
+                flight.issued = True  # nothing to issue (no FU class)
+            if op.is_halt:
                 self._fetch_stopped = True
                 return
-            if not instr.is_mark:
+            if not op.is_mark:
                 budget -= 1
             self._n_dispatched.value += 1
 
-    def _capture_operands(self, flight: InFlight) -> bool:
-        """Record source operands: known values into ``src_vals``, in-flight
-        producers into ``dep_seqs``.  Returns False when the instruction
-        needs a functional value that is not yet known (branch condition or
-        memory operand) — the frontend stalls."""
-        instr = flight.instr
-        needs_values_now = instr.is_branch or (instr.is_mem and not instr.is_membar)
-        for reg in instr.sources():
-            if reg == "r0":
-                flight.src_vals[reg] = 0  # %g0 is hardwired to zero
-                continue
-            producer = self._spec_map.get(reg)
-            if producer is not None:
-                flight.dep_seqs[reg] = producer
-                if producer in self._values:
-                    flight.src_vals[reg] = self._values[producer]
-                elif needs_values_now:
-                    return False
-            else:
-                assert self.context is not None
-                flight.src_vals[reg] = self.context.registers.read(reg)
-        flight.dep_list = tuple(flight.dep_seqs.values())
-        return True
-
     def _apply_dispatch_effects(self, flight: InFlight) -> None:
         """Functional-first execution at dispatch, where possible."""
-        instr = flight.instr
-        if isinstance(instr, BranchInstruction):
+        op = flight.op
+        if op.is_branch:
             self._resolve_branch(flight)
             return
-        if instr.is_mem and not instr.is_membar:
+        if op.route == ROUTE_MEMQ:
             self._prepare_memop(flight)
-            return
-        if isinstance(instr, (AluInstruction, SetInstruction, CompareInstruction)):
+        elif op.computes:
             if flight.operands_known(self._values):
                 self._compute_value(flight)
-        dest = instr.destination()
-        if dest is not None and dest != "r0":
-            self._spec_map[dest] = flight.seq
-        if instr.is_mark or instr.is_halt or instr.is_membar:
+        elif op.route == ROUTE_UNTIMED:
             # No result, no functional unit: timing-ready immediately.
             self._record_ready(flight, flight.dispatch_cycle)
+        if op.writes is not None:
+            self._spec_map[op.writes] = flight.seq
 
     def _resolve_branch(self, flight: InFlight) -> None:
-        assert self.context is not None
-        instr = flight.instr
-        assert isinstance(instr, BranchInstruction)
+        instr: Any = flight.instr  # a BranchInstruction (decoded kind)
         if instr.op in ("brz", "brnz"):
-            assert instr.rs1 is not None
             taken = semantics.branch_taken(
                 instr.op, reg_value=flight.operand(instr.rs1, self._values)
             )
@@ -535,7 +528,9 @@ class Core:
             )
         flight.taken = taken
         if taken:
-            self._spec_pc = self.context.program.target_of(instr)
+            target = flight.op.target
+            assert target is not None
+            self._spec_pc = target
         else:
             self._spec_pc = flight.pc + 1
         if not self.config.perfect_branch_prediction:
@@ -547,23 +542,23 @@ class Core:
     def _prepare_memop(self, flight: InFlight) -> None:
         """Compute the address, classify by page attribute, and apply
         functional effects for cached operations."""
-        assert self.context is not None
-        instr = flight.instr
-        base = flight.operand(instr.base, self._values)  # type: ignore[attr-defined]
-        offset = instr.offset  # type: ignore[attr-defined]
+        instr: Any = flight.instr  # the class the decoded kind names
+        base = flight.operand(instr.base, self._values)
+        offset = instr.offset
         if isinstance(offset, str):
             offset_value = flight.operand(offset, self._values)
         else:
             offset_value = offset
-        address = (base + offset_value) & ((1 << 64) - 1)
-        size = instr.size  # type: ignore[attr-defined]
+        address = (base + offset_value) & MASK64
+        size = instr.size
         if address % size:
             raise SimulationError(
                 f"unaligned {size}-byte access at {address:#x} (pc={flight.pc})"
             )
         flight.address = address
         flight.attr = self.tlb.attribute_of(address)
-        if isinstance(instr, SwapInstruction):
+        kind = flight.op.kind
+        if kind == "swap":
             flight.swap_expected = flight.operand(instr.rd, self._values)
             if flight.attr is PageAttr.CACHED:
                 self._log_undo(flight.seq, address, 8)
@@ -572,14 +567,14 @@ class Core:
                 self._set_value(flight, old, ready=None)
                 self._clear_link_if_written(address)
             # Uncached swap results resolve through the uncached unit.
-        elif isinstance(instr, LoadLinkedInstruction):
+        elif kind == "ll":
             if flight.attr is not PageAttr.CACHED:
                 raise SimulationError(
                     f"load-linked requires cached space, not {address:#x}"
                 )
             self._set_value(flight, self.hierarchy.read(address, 8), ready=None)
             self._link = address - (address % self.hierarchy.config.line_size)
-        elif isinstance(instr, StoreConditionalInstruction):
+        elif kind == "sc":
             if flight.attr is not PageAttr.CACHED:
                 raise SimulationError(
                     f"store-conditional requires cached space, not {address:#x}"
@@ -593,10 +588,10 @@ class Core:
             else:
                 self._set_value(flight, 0, ready=None)
             self._link = None  # an SC always consumes the link
-        elif isinstance(instr, LoadInstruction):
+        elif kind == "load":
             if flight.attr is PageAttr.CACHED:
                 self._set_value(flight, self.hierarchy.read(address, size), ready=None)
-        elif isinstance(instr, BlockStoreInstruction):
+        elif kind == "blockstore":
             if flight.attr is PageAttr.CACHED:
                 raise SimulationError(
                     "block stores bypass the cache hierarchy; target "
@@ -606,29 +601,27 @@ class Core:
             for reg in BLOCK_STORE_REGS:
                 packed = (packed << 64) | flight.operand(reg, self._values)
             flight.store_data = packed
-        elif isinstance(instr, StoreInstruction):
+        elif kind == "store":
             flight.store_data = flight.operand(instr.rs, self._values)
             if flight.attr is PageAttr.CACHED:
                 self._log_undo(flight.seq, address, size)
                 self.hierarchy.write(address, flight.store_data, size)
                 self._clear_link_if_written(address)
-        dest = instr.destination()
-        if dest is not None and dest != "r0":
-            self._spec_map[dest] = flight.seq
 
     def _compute_value(self, flight: InFlight) -> None:
         """Functional execution of ALU-class instructions."""
-        instr = flight.instr
-        if isinstance(instr, SetInstruction):
-            value = instr.value & ((1 << 64) - 1)
-        elif isinstance(instr, CompareInstruction):
+        instr: Any = flight.instr  # the class the decoded kind names
+        kind = flight.op.kind
+        if kind == "set":
+            value = instr.value & MASK64
+        elif kind == "cmp":
             op2 = (
                 flight.operand(instr.operand2, self._values)
                 if isinstance(instr.operand2, str)
                 else instr.operand2
             )
             value = semantics.compare(flight.operand(instr.rs1, self._values), op2)
-        elif isinstance(instr, AluInstruction):
+        elif kind == "alu":
             op2 = (
                 flight.operand(instr.operand2, self._values)
                 if isinstance(instr.operand2, str)
@@ -714,7 +707,7 @@ class Core:
             )
             if instr.is_branch and not self.config.perfect_branch_prediction:
                 latency += self.config.branch_mispredict_penalty
-            if not flight.value_known and instr.destination() is not None:
+            if not flight.value_known and flight.op.dest is not None:
                 if not flight.operands_known(self._values):
                     raise SimulationError(
                         f"issued {instr!r} with unknown operand values"
@@ -745,65 +738,90 @@ class Core:
     # -- memory queue -----------------------------------------------------------------
 
     def _memq_issue(self, now: int) -> None:
-        """Execute cached loads speculatively, out of order."""
-        if not self._memq:
-            return
-        for flight in self._memq:
-            instr = flight.instr
-            if flight.mem_state is not MemState.WAITING:
-                continue
-            if flight.attr is not PageAttr.CACHED:
-                continue  # uncached ops wait for the head of the ROB
-            if isinstance(instr, (SwapInstruction, StoreConditionalInstruction)):
-                continue  # atomics execute at the head of the ROB
-            if isinstance(instr, StoreInstruction):
-                # Stores are ready to commit once operands are timing-ready.
-                if flight.timing_ready(self._ready, now):
-                    self._mem_done(flight, now)
-                continue
-            # Cached load.
+        """Execute cached loads speculatively, out of order; mark cached
+        stores ready to commit; complete cache accesses.
+
+        Only two program-order lists are walked, not all of ``_memq``.
+        ``_memq_wait`` holds the cached loads and stores still WAITING
+        (dispatch appends them); an entry leaves it when it executes.
+        ``_memq_access`` holds the accesses in flight: a load joins it
+        here, a cached swap or store-conditional when the retire stage
+        starts its access; an entry leaves it when it completes, or at the
+        next walk once the retire stage has moved it on.  Uncached
+        operations and not-yet-started atomics wait for the head of the
+        ROB and are in neither list.
+        """
+        waiting = self._memq_wait
+        if waiting:
+            kept: List[InFlight] = []
+            for flight in waiting:
+                if not self._execute_cached(flight, now):
+                    kept.append(flight)
+            self._memq_wait = kept
+        if self._memq_access:
+            self._complete_cache_accesses(now)
+
+    def _execute_cached(self, flight: InFlight, now: int) -> bool:
+        """Try to execute one WAITING cached load or store; True when it
+        left WAITING."""
+        if flight.op.kind == "store":
+            # Stores are ready to commit once operands are timing-ready.
             if not flight.timing_ready(self._ready, now):
-                continue
-            forward_from = self._forwarding_store(flight)
-            if forward_from is not None:
-                if forward_from.timing_ready(self._ready, now):
-                    self._mem_done(flight, now + 1)
-                continue
-            if self._older_store_blocks(flight):
-                continue
-            assert flight.address is not None
-            if self.dcache is not None:
-                # Non-blocking cache: a primary miss allocates an MSHR and
-                # the load sleeps until the refill's precomputed arrival; a
-                # capacity stall (all MSHRs busy) retries next cycle before
-                # consuming a cache port.
-                if not self.dcache.can_accept(flight.address, now):
-                    continue
-                if not self.fus.acquire("cache"):
-                    continue
-                ready = self.dcache.access(flight.address, False, now)
-            else:
-                if not self.fus.acquire("cache"):
-                    continue
-                latency = self.hierarchy.access_latency(
-                    flight.address, is_write=False
-                )
-                ready = now + latency
-            flight.mem_state = MemState.ACCESSING
-            self._record_ready(flight, ready)
-            if self.trace is not None:
-                self.trace.record(now, "cache", flight.seq, flight.pc, instr)
-            self.stats.bump("core.cached_loads")
-        self._complete_cache_accesses(now)
+                return False
+            self._mem_done(flight, now)
+            return True
+        # Cached load.
+        if not flight.timing_ready(self._ready, now):
+            return False
+        forward_from = self._forwarding_store(flight)
+        if forward_from is not None:
+            if not forward_from.timing_ready(self._ready, now):
+                return False
+            self._mem_done(flight, now + 1)
+            return True
+        if self._older_store_blocks(flight):
+            return False
+        assert flight.address is not None
+        if self.dcache is not None:
+            # Non-blocking cache: a primary miss allocates an MSHR and
+            # the load sleeps until the refill's precomputed arrival; a
+            # capacity stall (all MSHRs busy) retries next cycle before
+            # consuming a cache port.
+            if not self.dcache.can_accept(flight.address, now):
+                return False
+            if not self.fus.acquire("cache"):
+                return False
+            ready = self.dcache.access(flight.address, False, now)
+        else:
+            if not self.fus.acquire("cache"):
+                return False
+            latency = self.hierarchy.access_latency(flight.address, is_write=False)
+            ready = now + latency
+        self._start_access(flight, ready)
+        if self.trace is not None:
+            self.trace.record(now, "cache", flight.seq, flight.pc, flight.instr)
+        self.stats.bump("core.cached_loads")
+        return True
+
+    def _start_access(self, flight: InFlight, ready: int) -> None:
+        """A cache access begins; it completes at ``ready``."""
+        flight.mem_state = MemState.ACCESSING
+        self._record_ready(flight, ready)
+        self._memq_access.append(flight)
 
     def _complete_cache_accesses(self, now: int) -> None:
-        for flight in self._memq:
-            if (
-                flight.mem_state is MemState.ACCESSING
-                and flight.ready_at is not None
-                and flight.ready_at <= now
-            ):
+        """Mark accesses that completed by ``now`` DONE.  An entry the
+        retire stage already moved on from ACCESSING leaves the list."""
+        kept: List[InFlight] = []
+        for flight in self._memq_access:
+            if flight.mem_state is not MemState.ACCESSING:
+                continue
+            ready = flight.ready_at
+            if ready is not None and ready <= now:
                 flight.mem_state = MemState.DONE
+            else:
+                kept.append(flight)
+        self._memq_access = kept
 
     def _forwarding_store(self, load: InFlight) -> Optional[InFlight]:
         """Youngest older cached store whose bytes fully cover the load."""
@@ -812,13 +830,11 @@ class Core:
         for other in self._memq:
             if other.seq >= load.seq:
                 break
-            if not isinstance(other.instr, StoreInstruction):
-                continue
-            if other.attr is not PageAttr.CACHED:
+            if other.op.kind != "store" or other.attr is not PageAttr.CACHED:
                 continue
             assert other.address is not None
             load_size = load.instr.size  # type: ignore[attr-defined]
-            store_size = other.instr.size
+            store_size = other.instr.size  # type: ignore[attr-defined]
             if (
                 other.address <= load.address
                 and load.address + load_size <= other.address + store_size
@@ -890,13 +906,13 @@ class Core:
     def _retire_memop(self, head: InFlight, now: int) -> bool:
         """Handle a memory operation at the head of the ROB.  Returns True
         when it retired this cycle."""
-        instr = head.instr
+        kind = head.op.kind
         if head.attr is PageAttr.CACHED:
-            if isinstance(instr, SwapInstruction):
+            if kind == "swap":
                 return self._retire_cached_swap(head, now)
-            if isinstance(instr, StoreConditionalInstruction):
+            if kind == "sc":
                 return self._retire_store_conditional(head, now)
-            if isinstance(instr, StoreInstruction):
+            if kind == "store":
                 if head.mem_state is not MemState.DONE:
                     return False
                 assert head.address is not None
@@ -956,8 +972,7 @@ class Core:
                     return False
                 latency = self.hierarchy.access_latency(head.address, is_write=True)
                 ready = now + latency
-            head.mem_state = MemState.ACCESSING
-            self._record_ready(head, ready)
+            self._start_access(head, ready)
             self.stats.bump("core.cached_swaps")
             if self.events is not None:
                 from repro.observability.events import LockAcquire
@@ -1006,8 +1021,7 @@ class Core:
                     return False
                 latency = self.hierarchy.access_latency(head.address, is_write=True)
                 ready = now + latency
-            head.mem_state = MemState.ACCESSING
-            self._record_ready(head, ready)
+            self._start_access(head, ready)
             return False
         if head.mem_state is MemState.ACCESSING:
             assert head.ready_at is not None
@@ -1052,13 +1066,14 @@ class Core:
         """Uncached operations issue here: in order, non-speculatively, one
         per cycle through the uncached port."""
         assert self.context is not None
-        instr = head.instr
+        instr: Any = head.instr  # the class the decoded kind names
+        kind = head.op.kind
         if head.mem_state is MemState.WAITING:
             if not head.timing_ready(self._ready, now):
                 return False
             if not self.fus.acquire("uncached"):
                 return False
-            if isinstance(instr, SwapInstruction):
+            if kind == "swap":
                 assert head.address is not None and head.swap_expected is not None
                 accepted = self.unit.issue_swap(
                     head.address,
@@ -1069,7 +1084,7 @@ class Core:
                 if accepted:
                     head.mem_state = MemState.ISSUED_UNCACHED
                 return False
-            if isinstance(instr, (StoreInstruction, BlockStoreInstruction)):
+            if kind == "store" or kind == "blockstore":
                 assert head.address is not None and head.store_data is not None
                 accepted = self.unit.issue_store(
                     head.address,
@@ -1090,7 +1105,7 @@ class Core:
             assert head.address is not None
             accepted = self.unit.issue_load(
                 head.address,
-                instr.size,  # type: ignore[attr-defined]
+                instr.size,
                 self._uncached_resolver(head),
             )
             if accepted:
@@ -1111,31 +1126,36 @@ class Core:
         return resolve
 
     def _commit(self, head: InFlight, now: int) -> None:
-        assert self.context is not None
+        context = self.context
+        assert context is not None
         popped = self._rob.popleft()
         if popped is not head:
             raise SimulationError("retired an instruction out of order")
+        op = head.op
         if self.trace is not None:
             self.trace.record(now, "retire", head.seq, head.pc, head.instr)
-        dest = head.instr.destination()
-        if dest is not None:
+        if op.dest is not None:
             if not head.value_known:
                 raise SimulationError(
                     f"retiring {head!r} without a result value"
                 )
             assert head.value is not None
-            self.context.registers.write(dest, head.value)
-            if self._spec_map.get(dest) == head.seq:
-                del self._spec_map[dest]
-        if head in self._memq:
+            writes = op.writes
+            if writes is not None:
+                context.registers.raw_values[writes] = head.value & MASK64
+                if self._spec_map.get(writes) == head.seq:
+                    del self._spec_map[writes]
+        if op.route == ROUTE_MEMQ:
             self._memq.remove(head)
         if self._undo and any(entry[0] == head.seq for entry in self._undo):
             self._undo = [entry for entry in self._undo if entry[0] != head.seq]
-        if isinstance(head.instr, BranchInstruction) and head.taken:
-            self.context.pc = self.context.program.target_of(head.instr)
+        if op.is_branch and head.taken:
+            target = op.target
+            assert target is not None
+            context.pc = target
         else:
-            self.context.pc = head.pc + 1
-        self.context.retired_instructions += 1
+            context.pc = head.pc + 1
+        context.retired_instructions += 1
         self._last_progress = now
         self._n_retired.value += 1
 
@@ -1174,6 +1194,8 @@ class Core:
                 self.events.publish(PipelineSquash(len(self._rob), self.core_id))
         self._rob.clear()
         self._memq.clear()
+        self._memq_wait.clear()
+        self._memq_access.clear()
         self._issueq.clear()
         self._parked.clear()
         self._woken.clear()

@@ -11,10 +11,12 @@ plane; ``ready_at`` tracks the timing plane (the cycle dependents may issue).
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.isa.instructions import Instruction
 from repro.memory.layout import PageAttr
+
+if TYPE_CHECKING:
+    from repro.cpu.decode import DecodedOp
 
 
 class MemState(enum.Enum):
@@ -31,6 +33,7 @@ class InFlight:
 
     __slots__ = (
         "seq",
+        "op",
         "instr",
         "pc",
         "dispatch_cycle",
@@ -52,16 +55,24 @@ class InFlight:
     )
 
     def __init__(
-        self, seq: int, instr: Instruction, pc: int, dispatch_cycle: int
+        self,
+        seq: int,
+        op: "DecodedOp",
+        pc: int,
+        dispatch_cycle: int,
+        src_vals: Dict[str, int],
+        dep_seqs: Dict[str, int],
     ) -> None:
         self.seq = seq
-        self.instr = instr
+        #: the static instruction's decode record (repro.cpu.decode)
+        self.op = op
+        self.instr = op.instr
         self.pc = pc
         self.dispatch_cycle = dispatch_cycle
         #: register name -> producer sequence number (unresolved at dispatch)
-        self.dep_seqs: Dict[str, int] = {}
+        self.dep_seqs = dep_seqs
         #: register name -> value captured at dispatch (resolved operands)
-        self.src_vals: Dict[str, int] = {}
+        self.src_vals = src_vals
         self.value: Optional[int] = None
         self.value_known = False
         self.issued = False
@@ -74,9 +85,9 @@ class InFlight:
         self.mem_state = MemState.WAITING
         #: for swaps: the expected value carried in the source register
         self.swap_expected: Optional[int] = None
-        #: flat copy of ``dep_seqs.values()`` frozen after operand capture;
-        #: the hot timing checks iterate this instead of a dict view
-        self.dep_list: Tuple[int, ...] = ()
+        #: flat copy of ``dep_seqs.values()``; the hot timing checks
+        #: iterate this instead of a dict view
+        self.dep_list: Tuple[int, ...] = tuple(dep_seqs.values())
         #: issue-stage skip hint: no producer can be ready before this cycle
         self.stall_until = 0
         #: a retiring cached store already entered the D-cache (guards the

@@ -151,13 +151,23 @@ class CampaignManifest:
 
     def cache_key(self) -> str:
         """Content hash over the per-job cache keys (display names — the
-        campaign's and every job's — are excluded by construction)."""
+        campaign's and every job's — are excluded by construction).
+
+        A file-backed trace job is keyed by the file's bytes, so a
+        ``source`` that cannot be read is refused here with a
+        ``ConfigError`` naming its document path.
+        """
+        keys = []
+        for index, spec in enumerate(self.jobs):
+            try:
+                keys.append(spec.cache_key())
+            except OSError as exc:
+                raise ConfigError(
+                    f"campaign.jobs[{index}].workload.source: cannot read "
+                    f"the trace file: {exc}"
+                ) from exc
         return digest(
-            {
-                "version": MANIFEST_VERSION,
-                "kind": self.kind,
-                "jobs": [spec.cache_key() for spec in self.jobs],
-            }
+            {"version": MANIFEST_VERSION, "kind": self.kind, "jobs": keys}
         )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -876,11 +876,11 @@ def _campaign_main(argv: List[str]) -> int:
                 with open(args.manifest, "r", encoding="utf-8") as handle:
                     text = handle.read()
             manifest = CampaignManifest.from_json(text)
+            store = CampaignStore(args.state_dir)
+            key = store.enqueue(manifest)
         except (OSError, ConfigError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        store = CampaignStore(args.state_dir)
-        key = store.enqueue(manifest)
         drain = threading.Event()
         signal.signal(signal.SIGTERM, lambda s, f: drain.set())
         service = CampaignService(

@@ -778,10 +778,10 @@ class _CampaignHandler(BaseHTTPRequestHandler):
         body = self.rfile.read(length)
         try:
             manifest = CampaignManifest.from_json(body.decode("utf-8"))
+            key = self.service.store.enqueue(manifest)
         except (ConfigError, UnicodeDecodeError) as exc:
             self._error(400, f"invalid campaign manifest: {exc}")
             return
-        key = self.service.store.enqueue(manifest)
         self.service.wake.set()
         status = self.service.store.status(key) or {}
         self._send_json(

@@ -21,7 +21,7 @@ listing uses ``bnz`` after ``cmp``).
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.common.errors import AssemblyError
 from repro.isa.instructions import (
@@ -55,11 +55,20 @@ _CC_BRANCHES = ("ba", "be", "bne", "bg", "bge", "bl", "ble", "bgu", "bleu")
 _MEM_RE = re.compile(
     r"^\[\s*(?P<base>%?\w+)\s*(?:(?P<sign>[+-])\s*(?P<off>%?\w+)\s*)?\]$"
 )
+_LABEL_RE = re.compile(r"^(\.?\w+):\s*(.*)$")
+
+#: Instruction text (comment and labels removed) -> its parsed, frozen
+#: :class:`Instruction`, shared by every line and program that repeats
+#: the text; labels stay per program.  Only successful parses are kept,
+#: so an error always names its own line.  Cleared when full.
+_PARSED: Dict[str, Instruction] = {}
+_PARSED_LIMIT = 4096
 
 
 def assemble(source: str, name: str = "program") -> Program:
     """Assemble ``source`` into a finalized :class:`Program`."""
     program = Program(name)
+    parsed = _PARSED
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -67,16 +76,26 @@ def assemble(source: str, name: str = "program") -> Program:
         line = _consume_labels(program, line, lineno)
         if not line:
             continue
-        try:
-            program.add(_parse_instruction(line, lineno))
-        except AssemblyError:
-            raise
-        except Exception as exc:  # operand validation errors from the ISA
-            raise AssemblyError(f"{line!r}: {exc}", lineno) from exc
+        instruction = parsed.get(line)
+        if instruction is None:
+            instruction = _parse_line(line, lineno)
+            if len(parsed) >= _PARSED_LIMIT:
+                parsed.clear()
+            parsed[line] = instruction
+        program.add(instruction)
     try:
         return program.finalize()
     except Exception as exc:
         raise AssemblyError(str(exc)) from exc
+
+
+def _parse_line(line: str, lineno: int) -> Instruction:
+    try:
+        return _parse_instruction(line, lineno)
+    except AssemblyError:
+        raise
+    except Exception as exc:  # operand validation errors from the ISA
+        raise AssemblyError(f"{line!r}: {exc}", lineno) from exc
 
 
 def _strip_comment(line: str) -> str:
@@ -89,8 +108,8 @@ def _strip_comment(line: str) -> str:
 
 def _consume_labels(program: Program, line: str, lineno: int) -> str:
     """Peel off leading ``name:`` labels; returns the remaining text."""
-    while True:
-        match = re.match(r"^(\.?\w+):\s*(.*)$", line)
+    while ":" in line:
+        match = _LABEL_RE.match(line)
         if not match:
             return line
         try:
@@ -98,8 +117,7 @@ def _consume_labels(program: Program, line: str, lineno: int) -> str:
         except Exception as exc:
             raise AssemblyError(str(exc), lineno) from exc
         line = match.group(2)
-        if not line:
-            return ""
+    return line
 
 
 def _split_operands(text: str) -> List[str]:

@@ -43,7 +43,8 @@ def tiny_manifest(name="tiny"):
 def malformed_manifests():
     """Manifest texts from outside that must be refused, each with the
     document path the refusal has to name: a trace workload without a
-    ``name``, and one whose ``window`` is a string."""
+    ``name``, one whose ``window`` is a string, and one whose ``source``
+    names a file that does not exist."""
     document = CampaignManifest(
         name="malformed",
         jobs=(
@@ -58,9 +59,12 @@ def malformed_manifests():
     del nameless["jobs"][0]["workload"]["name"]
     stringly = copy.deepcopy(document)
     stringly["jobs"][0]["workload"]["window"] = "64"
+    missing = copy.deepcopy(document)
+    missing["jobs"][0]["workload"]["source"] = "/nonexistent-csb-dir/gone.trace"
     return [
         (json.dumps(nameless), "campaign.jobs[0].workload.name"),
         (json.dumps(stringly), "campaign.jobs[0].workload.window"),
+        (json.dumps(missing), "campaign.jobs[0].workload.source"),
     ]
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import AssemblyError
+from repro.isa import assembler
 from repro.isa.assembler import assemble
 from repro.isa.instructions import (
     AluInstruction,
@@ -148,3 +149,47 @@ class TestErrors:
     def test_bad_integer(self):
         with pytest.raises(AssemblyError):
             assemble("set banana, %o1\nhalt")
+
+
+class TestParseMemo:
+    """Each distinct instruction line is parsed once and its frozen
+    instruction shared; labels and errors stay per program and line."""
+
+    def test_error_names_its_line_after_memoized_lines(self):
+        good = "set 1, %o1\nadd %o1, 2, %o1\n"
+        assemble(good + "halt")
+        with pytest.raises(AssemblyError) as exc:
+            assemble(good + "add %o1, 2, %q9\nhalt")
+        assert exc.value.line == 3
+        with pytest.raises(AssemblyError) as exc:
+            assemble("nop\n" + good + "frobnicate %o1\nhalt")
+        assert exc.value.line == 4
+
+    def test_failed_line_is_not_cached(self):
+        bad = "add %o1, 7, %q7"
+        for lineno in (1, 3):
+            with pytest.raises(AssemblyError) as exc:
+                assemble("nop\n" * (lineno - 1) + bad + "\nhalt")
+            assert exc.value.line == lineno
+        assert bad not in assembler._PARSED
+
+    def test_repeated_lines_share_one_instruction(self):
+        first = assemble("add %o1, 3, %o1\nadd %o1, 3, %o1\nhalt")
+        second = assemble("loop: add %o1, 3, %o1 ! comment\nhalt")
+        assert first[0] is first[1] is second[0]
+
+    def test_labels_resolve_per_program(self):
+        first = assemble("top:\nnop\nbrnz %o1, top\nhalt")
+        second = assemble("nop\nnop\ntop: nop\nbrnz %o1, top\nhalt")
+        assert first[1] is second[3]
+        assert first.target_of(first[1]) == 0
+        assert second.target_of(second[3]) == 2
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(assembler, "_PARSED", {})
+        monkeypatch.setattr(assembler, "_PARSED_LIMIT", 8)
+        program = assemble(
+            "".join(f"set {value}, %o1\n" for value in range(20)) + "halt"
+        )
+        assert [instr.value for instr in program[:20]] == list(range(20))
+        assert len(assembler._PARSED) <= 8

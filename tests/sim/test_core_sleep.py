@@ -1,5 +1,5 @@
-"""Quiet-tick sleeping, the clock jump and issue parking change nothing a
-simulation computes.
+"""Quiet-tick sleeping, the clock jump, issue parking and the memory-queue
+lists change nothing a simulation computes.
 
 A stalled core sleeps instead of re-running its stages (see
 :meth:`repro.cpu.core.Core.tick`): it re-applies one quiet tick's counter
@@ -8,14 +8,19 @@ the bus accepts a transaction, or the scheduler or a value delivery wakes
 it.  While every core sleeps or has no live context, the clock driver
 jumps to the earliest cycle any component could act
 (:meth:`repro.sim.system.System.advance`).  The issue stage parks an entry
-whose producer has no ready cycle yet until that cycle is recorded.
+whose producer has no ready cycle yet until that cycle is recorded.  The
+memory-queue stage walks only the cached entries still waiting to execute
+and the accesses in flight, not the uncached entries parked for the ROB
+head.
 
-Every run here executes four times: as shipped; with the jump disabled
+Every run here executes five times: as shipped; with the jump disabled
 (``System._next_event`` monkeypatched to return the current cycle); with
 the issue stage replaced by :func:`scanning_issue`, the scanning issue
-stage kept verbatim as the reference; and with all three mechanisms off.
-The cycle count, every counter, the marks, the transaction records, the
-metrics snapshot and the pipeline trace must agree exactly.
+stage kept verbatim as the reference; with the memory-queue stage replaced
+by :func:`scanning_memq`, the stage that walks all of ``_memq``, kept
+verbatim; and with all of these off.  The cycle count, every counter, the
+marks, the transaction records, the metrics snapshot and the pipeline
+trace must agree exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from repro.common.config import (
 )
 from repro.common.errors import DeadlockError, SimulationError
 from repro.cpu.core import Core
-from repro.cpu.inflight import InFlight
+from repro.cpu.inflight import InFlight, MemState
 from repro.devices import nic
 from repro.devices.link import Link
 from repro.devices.ring import DescriptorRing
@@ -42,7 +47,12 @@ from repro.evaluation.rtt import _build_node
 from repro.evaluation.smp_contention import smp_contention_system
 from repro.faults.config import FaultConfig
 from repro.isa.assembler import assemble
-from repro.isa.instructions import FU_FP
+from repro.isa.instructions import (
+    FU_FP,
+    StoreConditionalInstruction,
+    StoreInstruction,
+    SwapInstruction,
+)
 from repro.memory.layout import IO_COMBINING_BASE, IO_UNCACHED_BASE, PageAttr, Region
 from repro.sim.cluster import Cluster
 from repro.sim.sampling import run_sampled
@@ -136,6 +146,74 @@ def scanning_issue(self, now: int) -> None:
     self._issueq = kept
 
 
+def scanning_memq(self, now: int) -> None:
+    """The memory-queue stage before the wait and in-flight lists,
+    verbatim: every entry of ``_memq`` is walked every awake cycle, the
+    uncached ones parked for the ROB head included."""
+    if not self._memq:
+        return
+    for flight in self._memq:
+        instr = flight.instr
+        if flight.mem_state is not MemState.WAITING:
+            continue
+        if flight.attr is not PageAttr.CACHED:
+            continue  # uncached ops wait for the head of the ROB
+        if isinstance(instr, (SwapInstruction, StoreConditionalInstruction)):
+            continue  # atomics execute at the head of the ROB
+        if isinstance(instr, StoreInstruction):
+            # Stores are ready to commit once operands are timing-ready.
+            if flight.timing_ready(self._ready, now):
+                self._mem_done(flight, now)
+            continue
+        # Cached load.
+        if not flight.timing_ready(self._ready, now):
+            continue
+        forward_from = self._forwarding_store(flight)
+        if forward_from is not None:
+            if forward_from.timing_ready(self._ready, now):
+                self._mem_done(flight, now + 1)
+            continue
+        if self._older_store_blocks(flight):
+            continue
+        assert flight.address is not None
+        if self.dcache is not None:
+            # Non-blocking cache: a primary miss allocates an MSHR and
+            # the load sleeps until the refill's precomputed arrival; a
+            # capacity stall (all MSHRs busy) retries next cycle before
+            # consuming a cache port.
+            if not self.dcache.can_accept(flight.address, now):
+                continue
+            if not self.fus.acquire("cache"):
+                continue
+            ready = self.dcache.access(flight.address, False, now)
+        else:
+            if not self.fus.acquire("cache"):
+                continue
+            latency = self.hierarchy.access_latency(
+                flight.address, is_write=False
+            )
+            ready = now + latency
+        flight.mem_state = MemState.ACCESSING
+        self._record_ready(flight, ready)
+        if self.trace is not None:
+            self.trace.record(now, "cache", flight.seq, flight.pc, instr)
+        self.stats.bump("core.cached_loads")
+    scanning_complete_cache_accesses(self, now)
+
+
+def scanning_complete_cache_accesses(self, now: int) -> None:
+    """``Core._complete_cache_accesses`` before the in-flight list,
+    verbatim: it marks every completed ACCESSING entry DONE, a cached
+    swap or store-conditional the retire stage started included."""
+    for flight in self._memq:
+        if (
+            flight.mem_state is MemState.ACCESSING
+            and flight.ready_at is not None
+            and flight.ready_at <= now
+        ):
+            flight.mem_state = MemState.DONE
+
+
 def _slept(systems):
     return sum(core.slept_ticks for system in systems for core in system.cores)
 
@@ -149,18 +227,21 @@ def _parked(systems):
 
 
 def _both(monkeypatch, run):
-    """``run()`` as shipped and against three references.
+    """``run()`` as shipped and against four references.
 
     ``run`` returns ``(signature, systems)``.  The references are the
     shipped code with the clock jump off, the shipped code with the
-    scanning issue stage, and a run with sleeping, the jump and parking
-    all off; the first two must equal the shipped run.  The result is the
-    all-off signature, the shipped one and the shipped run's systems.
+    scanning issue stage, the shipped code with the scanning memory-queue
+    stage, and a run with sleeping, the jump, parking and the memory-queue
+    lists all off; the first three must equal the shipped run.  The result
+    is the all-off signature, the shipped one and the shipped run's
+    systems.
     """
     with monkeypatch.context() as patch:
         patch.setattr(Core, "_try_sleep", _never_sleep)
         patch.setattr(System, "_next_event", _never_jump)
         patch.setattr(Core, "_issue", scanning_issue)
+        patch.setattr(Core, "_memq_issue", scanning_memq)
         awake, awake_systems = run()
     assert _slept(awake_systems) == _jumped(awake_systems) == 0
     assert _parked(awake_systems) == 0
@@ -172,9 +253,13 @@ def _both(monkeypatch, run):
         patch.setattr(Core, "_issue", scanning_issue)
         scanned, scanned_systems = run()
     assert _parked(scanned_systems) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(Core, "_memq_issue", scanning_memq)
+        memq_scanned, _ = run()
     asleep, systems = run()
     assert ticked == asleep
     assert scanned == asleep
+    assert memq_scanned == asleep
     return awake, asleep, systems
 
 
@@ -220,6 +305,55 @@ def test_sleeping_happens_on_a_bus_bound_store_stream(monkeypatch):
     assert _slept(systems) > awake["cycle"] // 2
     assert _jumped(systems) > 0
     assert awake["stats"]["uncached.full_stalls"] > 0
+
+
+def test_memq_stage_walks_only_entries_that_can_act(monkeypatch):
+    # The same store stream fills the memory queue with uncached stores
+    # that issue only at the ROB head: the memory-queue stage's wait list
+    # stays shorter than the queue it used to scan.
+    walked = []
+    shipped = Core._memq_issue
+
+    def counting(self, now):
+        walked.append((len(self._memq_wait), len(self._memq)))
+        shipped(self, now)
+
+    monkeypatch.setattr(Core, "_memq_issue", counting)
+    config = make_config(cpu_ratio=6, line_size=64)
+    signature, _ = _program_run(store_kernel_uncached(1024), config)()
+    assert signature["stats"]["core.memq_full_stalls"] > 0
+    assert max(queue for _, queue in walked) == config.core.memq_entries
+    assert sum(wait for wait, _ in walked) < sum(queue for _, queue in walked)
+
+
+def _sc_behind_a_full_uncached_buffer():
+    """A store-conditional whose cache access completes while twelve
+    uncached stores keep the 8-entry uncached buffer full."""
+    stores = [f"stx %l0, [%o1+{k * 64}]" for k in range(12)]
+    return "\n".join(
+        [
+            f"set {IO_UNCACHED_BASE}, %o1",
+            f"set {DEFAULT_LOCK_ADDR}, %o2",
+            "ldx [%o2], %o5",  # warm the line, so the SC's access hits
+            *stores,
+            "ll [%o2], %o3",
+            "add %o3, 1, %o3",
+            "sc %o3, [%o2], %o4",
+            "halt",
+        ]
+    )
+
+
+def test_store_conditional_access_completed_by_the_memq_stage(monkeypatch):
+    # The SC's bus sync is refused in the cycle its access completes, and
+    # the memory-queue stage marks the access DONE that same cycle: the
+    # SC joined the in-flight list when the retire stage started it, so
+    # it commits without the sync, as with the scanning stage.
+    config = make_config(cpu_ratio=6, trace=True)
+    run = _program_run(_sc_behind_a_full_uncached_buffer(), config)
+    awake, asleep, _ = _both(monkeypatch, run)
+    assert asleep == awake
+    assert asleep["stats"]["bus.transactions"] == 12
 
 
 # -- SMP, preemption, faults, the D-cache ---------------------------------------
