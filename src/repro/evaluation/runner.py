@@ -36,7 +36,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from typing import (
     Callable,
@@ -350,6 +350,24 @@ def entry_digest(document: dict) -> str:
     return digest(payload)
 
 
+def atomic_write(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` through a fsynced temp file of its
+    own (so concurrent writers never collide and no reader or crash sees
+    a partial file).  Temp names end in ``.tmp``, not ``.json``, which the
+    cache's eviction scan counts; a failed write removes its temp file."""
+    fd, temporary = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(temporary)
+        raise
+
+
 class ResultCache:
     """Content-addressed result store: one small JSON file per job key.
 
@@ -492,21 +510,7 @@ class ResultCache:
         path = self._path(key)
         try:
             with self._lock():
-                fd, temporary = tempfile.mkstemp(
-                    dir=self.directory, suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                        json.dump(document, handle)
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                    os.replace(temporary, path)
-                except OSError:
-                    try:
-                        os.remove(temporary)
-                    except OSError:
-                        pass
-                    return
+                atomic_write(path, json.dumps(document))
                 self.stores += 1
                 self._evict_over_budget(keep=path)
         except OSError:

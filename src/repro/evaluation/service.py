@@ -53,7 +53,7 @@ from repro.evaluation.campaign import (
     results_document,
     results_to_json,
 )
-from repro.evaluation.runner import Job, ResultCache, execute_job, job_key
+from repro.evaluation.runner import Job, ResultCache, atomic_write, execute_job, job_key
 
 #: Times a job lost to a worker crash is re-queued before it is failed.
 DEFAULT_MAX_REQUEUES = 2
@@ -519,14 +519,6 @@ class CampaignStore:
             raise ConfigError(f"bad campaign key {key!r}")
         return os.path.join(self.root, key)
 
-    def _write_file(self, path: str, text: str) -> None:
-        temporary = f"{path}.tmp.{os.getpid()}"
-        with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temporary, path)
-
     def enqueue(self, manifest: CampaignManifest) -> str:
         """Persist a manifest and mark it queued; returns the key.
 
@@ -536,7 +528,7 @@ class CampaignStore:
         key = manifest.cache_key()
         directory = self._dir(key)
         os.makedirs(directory, exist_ok=True)
-        self._write_file(
+        atomic_write(
             os.path.join(directory, "manifest.json"), manifest.to_json()
         )
         if self.results_bytes(key) is not None:
@@ -577,7 +569,7 @@ class CampaignStore:
         payload = dict(document)
         payload["campaign"] = key
         payload["updated_unix"] = _now()
-        self._write_file(
+        atomic_write(
             os.path.join(self._dir(key), "status.json"),
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
         )
@@ -592,7 +584,7 @@ class CampaignStore:
             return None
 
     def write_results(self, key: str, document: Dict[str, Any]) -> None:
-        self._write_file(
+        atomic_write(
             os.path.join(self._dir(key), "results.json"),
             results_to_json(document),
         )

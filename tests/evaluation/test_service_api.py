@@ -7,9 +7,12 @@ direct SweepRunner execution.
 """
 
 import json
+import os
+import sys
 import threading
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -38,8 +41,9 @@ def api(store, tmp_path):
         store, workers=2, cache_dir=str(tmp_path / "cache")
     )
     server = make_server(service, port=0)
+    # A short poll: shutdown() waits up to one poll interval to return.
     threads = [
-        threading.Thread(target=server.serve_forever, daemon=True),
+        threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True),
         threading.Thread(target=service.run_queued_forever, daemon=True),
     ]
     for thread in threads:
@@ -114,6 +118,29 @@ class TestCampaignStore:
         key = store.enqueue(tiny_manifest())
         with pytest.raises(ConfigError):
             store.write_status(key, {"state": "napping"})
+
+    def test_concurrent_status_writes_never_collide(self, store):
+        """Threads of one server rewrite one status.json at once (a POST's
+        enqueue beside the executor's progress writes): no write raises or
+        leaves debris, and the file always parses."""
+        key = store.enqueue(tiny_manifest())
+
+        def write_many():
+            for _ in range(150):
+                store.write_status(key, {"state": "running"})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for writer in [pool.submit(write_many) for _ in range(4)]:
+                    writer.result(timeout=60)  # re-raises a failed write
+        finally:
+            sys.setswitchinterval(interval)
+        assert store.status(key)["state"] == "running"
+        assert sorted(os.listdir(os.path.join(store.root, key))) == [
+            "manifest.json", "status.json",
+        ]
 
     def test_missing_campaign_is_none(self, store):
         assert store.describe(BAD_KEY) is None

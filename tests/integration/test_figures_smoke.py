@@ -1,7 +1,8 @@
 """Figure harness: every panel produces a complete, well-formed table.
 
-Full sweeps run in the benchmark harness; here each panel is exercised at
-a reduced size grid so the whole registry stays test-fast.
+Full sweeps run in CI's ``csb-figures --all --check expected_results``
+gate; here each panel is exercised at a reduced size grid so the whole
+registry stays test-fast.
 """
 
 import pytest

@@ -3,8 +3,8 @@
 The tentpole invariant — ``SweepRunner`` is a pure speedup.  A sweep fanned
 out over worker processes, or resolved from the content-addressed cache,
 must render to exactly the CSV a fresh serial run produces.  Reduced size
-grids keep each case test-fast (full sweeps live in the benchmark harness
-and the --check regression gate).
+grids keep each case test-fast (full sweeps run in CI's
+``csb-figures --all --check expected_results`` gate).
 """
 
 import json

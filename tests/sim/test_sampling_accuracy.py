@@ -177,6 +177,7 @@ class TestThroughput:
         ff_seconds = time.perf_counter() - start
         ff_rate = executed / ff_seconds
 
+        assert instructions == 2 + 800 * 5 + 1  # sets, loop trips, halt
         assert executed == instructions  # whole program, both tiers
         assert ff_system.scheduler.processes[0].halted
         assert ff_rate >= 10 * detailed_rate, (ff_rate, detailed_rate)
