@@ -11,18 +11,28 @@ descriptor DMA) and reports the measured break-even points.
 Run:  python examples/pio_vs_dma.py
 """
 
-from repro.evaluation.crossover import (
-    break_even,
-    crossover_table,
-)
+from repro.common.tables import Table
+from repro.evaluation.crossover import crossover_table
+
+
+def break_even(table: Table, method: str, against: str = "dma") -> int:
+    """Smallest message size at which ``against`` is at least as fast as
+    ``method`` in ``table`` (twice the largest size if it never is)."""
+    sizes = table.columns[1:]
+    for size in sizes:
+        if table.lookup("method", against, size) <= table.lookup(
+            "method", method, size
+        ):
+            return int(size)
+    return 2 * int(sizes[-1])
 
 
 def main() -> None:
     print(__doc__)
     table = crossover_table()
     print(table.render(0))
-    pio_cross = break_even("pio_locked")
-    csb_cross = break_even("csb")
+    pio_cross = break_even(table, "pio_locked")
+    csb_cross = break_even(table, "csb")
     print(f"DMA overtakes locked PIO at : {pio_cross} bytes")
     print(f"DMA overtakes the CSB at    : {csb_cross} bytes")
     print(

@@ -44,6 +44,7 @@ from repro.cpu.decode import (
     ROUTE_ISSUED,
     ROUTE_MEMQ,
     ROUTE_UNTIMED,
+    SpinLoop,
     decode_program,
 )
 from repro.cpu.inflight import InFlight, MemState
@@ -59,6 +60,10 @@ from repro.memory.tlb import AttributeTLB
 from repro.uncached.unit import UncachedUnit
 
 _program_order = attrgetter("seq")
+
+#: ``_sleep_until`` of a spin sleep in a loop with no exit (``ba``): only a
+#: wake, the clock driver's ``until`` or ``max_cycles`` ends it.
+_NEVER = 1 << 62
 
 
 class Core:
@@ -143,9 +148,23 @@ class Core:
         self._sleep_mshr_stalls = 0
         self._progress_mark = 0
         self._armed = False
+        # This core's own issues and retirements, the sleep trigger's
+        # progress: the stats counters are shared by every core.
+        self._issued = 0
+        self._retired = 0
+        # Spin sleeping (see _try_spin): while asleep in a register-only
+        # loop, ``_spin`` is one period's (seq shift, register addends) and
+        # the pipeline holds the state after the tick of ``_spin_at``.
+        self._spin: Optional[Tuple[int, Dict[str, int]]] = None
+        self._spin_at = 0
+        self._spin_armed = False
+        self._spin_rob = 0  # ROB occupancy after the previous tick
+        self._spin_retry = 0  # a failed spin probe backs off until here
         #: Host-side count of cycles this core slept through, jumped ones
         #: included (diagnostics; not a simulated statistic).
         self.slept_ticks = 0
+        #: Host-side count of the slept cycles spent inside a spin.
+        self.spun_ticks = 0
         #: Host-side count of issue-queue entries parked (diagnostics).
         self.parked_entries = 0
         #: Every core on this core's bus, itself included (System wires
@@ -184,11 +203,20 @@ class Core:
         self.wake()
 
     def wake(self) -> None:
-        """End a quiet-tick sleep: something the stalled pipeline polls
-        changed outside the bus (see :meth:`tick`).  Callers that write
-        core state from outside — the scheduler parking a context, value
-        deliveries — must call this."""
+        """End a sleep: something the stalled pipeline polls changed
+        outside the bus, or something from outside is about to act on a
+        spinning one (see :meth:`tick`).  Callers that write core state
+        from outside — the scheduler parking a context, value deliveries —
+        must call this."""
+        self.settle()
+        self._spin = None
         self._sleep_until = 0
+
+    def settle(self) -> None:
+        """Bring a spin sleep's pipeline up to :attr:`now`, so a reader
+        between ticks sees what ticking would have left; the sleep goes
+        on.  A no-op for every other core."""
+        self._settle(self.now)
 
     def interrupt(self) -> None:
         """Deliver a precise timer interrupt.
@@ -247,7 +275,14 @@ class Core:
         bus cycle changes the uncached buffer, the CSB line buffers or
         ``barrier_clear`` — and when :meth:`wake` is called: a value
         delivery, an interrupt, a drain request or a context change.
-        Every simulated result is identical to ticking through.
+
+        A *spinning* core sleeps too (see :meth:`_try_spin`): after a
+        probed tick in a register-only loop's period-1 steady state, it
+        re-applies that tick's counter increments each cycle until the
+        loop's exit is dispatched or :meth:`wake` is called, and shifts
+        its pipeline by the periods it slept when it wakes or when
+        :meth:`settle` is called.  Every simulated result is identical to
+        ticking through.
         """
         self.now = now
         context = self.context
@@ -255,15 +290,24 @@ class Core:
             return
         woke = False
         if self._sleep_until:
-            if now < self._sleep_until and self._bus.accepted == self._sleep_bus_mark:
+            if now < self._sleep_until and (
+                self._spin is not None or self._bus.accepted == self._sleep_bus_mark
+            ):
                 self.skip(1, now)
                 return
             # Woken by the bus or a timer: probe at once.  Often nothing
             # changed for this core (another initiator's transaction), and
             # otherwise the stall usually resumes right after this tick.
+            # A spin sleep's pipeline first catches up with the last cycle.
+            self._settle(now - 1)
+            self._spin = None
             self._sleep_until = 0
             woke = self._armed = True
         probe = self._quiet_probe() if self._armed else None
+        spin_probe = None
+        if self._spin_armed:
+            self._spin_armed = False
+            spin_probe = self._spin_probe(now)
         self.fus.new_cycle()
         self._retire(now)
         if self._interrupt_pending and self._try_squash():
@@ -282,16 +326,24 @@ class Core:
                 snapshot=self.machine_snapshot(),
             )
         # Only a wake or a tick that dispatched, issued and retired nothing
-        # arms the probe, so busy ticks pay one sum and one comparison.
-        progress = self._seq + self._n_issued.value + self._n_retired.value
+        # arms the quiet probe, so busy ticks pay one sum and one
+        # comparison; a busy tick that left the ROB as full as before
+        # checks whether it is spinning.
+        progress = self._seq + self._issued + self._retired
+        occupancy = len(self._rob)
         if progress != self._progress_mark:
             self._progress_mark = progress
             self._armed = woke
+            if spin_probe is not None:
+                self._try_spin(now, spin_probe)
+            elif occupancy == self._spin_rob and now >= self._spin_retry:
+                self._spin_armed = self._spinning()
         elif probe is not None:
             self._armed = False
             self._try_sleep(now, probe)
         else:
             self._armed = bool(self._rob)
+        self._spin_rob = occupancy
 
     # -- quiet-tick sleeping ----------------------------------------------------------
 
@@ -306,8 +358,8 @@ class Core:
         """
         return (
             self._seq,
-            self._n_issued.value,
-            self._n_retired.value,
+            self._issued,
+            self._retired,
             len(self._rob),
             len(self._issueq),
             self._last_progress,
@@ -324,9 +376,21 @@ class Core:
 
     def _quiet_probe(self) -> tuple:
         """State and counters before a probed tick."""
-        counts = {counter: counter.value for counter in self.stats.live_counters()}
         mshr_stalls = self.dcache.mshr_stall_cycles if self.dcache else 0
-        return self._pipeline_state(), counts, mshr_stalls
+        return self._pipeline_state(), self._counts(), mshr_stalls
+
+    def _counts(self) -> Dict[Counter, int]:
+        return {counter: counter.value for counter in self.stats.live_counters()}
+
+    def _ledger(self, before: Dict[Counter, int]) -> List[Tuple[Counter, int]]:
+        """What one slept cycle re-applies: each counter's increment since
+        ``before`` was taken, at the start of the probed tick (later
+        counts would include other cores' increments)."""
+        return [
+            (counter, counter.value - before.get(counter, 0))
+            for counter in self.stats.live_counters()
+            if counter.value != before.get(counter, 0)
+        ]
 
     def _try_sleep(self, now: int, probe: tuple) -> None:
         """Fall asleep after a probed tick that turned out quiet."""
@@ -336,11 +400,7 @@ class Core:
         wake = self._wake_cycle(now)
         if wake <= now + 1:
             return
-        self._sleep_ledger = [
-            (counter, counter.value - before.get(counter, 0))
-            for counter in self.stats.live_counters()
-            if counter.value != before.get(counter, 0)
-        ]
+        self._sleep_ledger = self._ledger(before)
         self._sleep_mshr_stalls = (
             self.dcache.mshr_stall_cycles - mshr_stalls if self.dcache else 0
         )
@@ -367,6 +427,240 @@ class Core:
             if fill is not None and fill < wake:
                 wake = fill
         return wake
+
+    # -- spin sleeping ------------------------------------------------------------------
+
+    def _spinning(self) -> bool:
+        """The cheap half of the spin trigger: every ROB entry and the
+        dispatch point sit in one register-only loop (decode's
+        :class:`~repro.cpu.decode.SpinLoop`), so the issue queue, the
+        parked and woken entries do too and the memory queue is empty;
+        nothing stops dispatch; no pipeline trace is attached (its records
+        interleave cores in cycle order)."""
+        rob = self._rob
+        if (
+            not rob
+            or self.trace is not None
+            or self._drain_requested
+            or self._interrupt_pending
+            or self._fetch_stopped
+        ):
+            return False
+        loop = rob[0].op.spin
+        if loop is None:
+            return False
+        head, branch = loop.head, loop.branch
+        if not head <= self._spec_pc <= branch:
+            return False
+        for flight in rob:
+            if not head <= flight.pc <= branch:
+                return False
+        return True
+
+    def _spin_state(self, cycle: int) -> tuple:
+        """Everything a later tick reads of a spinning pipeline, relative:
+        seqs to ``_seq``, cycles to ``cycle`` (the next tick's), and
+        loop-register values to the register's committed value.
+
+        ``InFlight.dispatch_cycle`` is left out (only dispatch reads it, of
+        the entry it builds), and a ``stall_until`` hint that has passed
+        reads as 0.  The loop reads no other register, the memory queue
+        and undo log are empty and no flag stops dispatch (see
+        :meth:`_spinning`).
+        """
+        assert self.context is not None
+        seq = self._seq
+        committed = self.context.registers.raw_values
+        values = self._values
+        ready = self._ready
+        entries = []
+        for flight in self._rob:
+            value = flight.value
+            writes = flight.op.writes
+            if value is not None and writes is not None:
+                value = (value - committed[writes]) & MASK64
+            deps = []
+            for reg, producer in flight.dep_seqs.items():
+                known = values.get(producer)
+                at = ready.get(producer)
+                deps.append(
+                    (
+                        reg,
+                        producer - seq,
+                        None if known is None else (known - committed[reg]) & MASK64,
+                        None if at is None else at - cycle,
+                    )
+                )
+            ready_at = flight.ready_at
+            entries.append(
+                (
+                    flight.pc,
+                    flight.seq - seq,
+                    value,
+                    flight.value_known,
+                    flight.issued,
+                    None if ready_at is None else ready_at - cycle,
+                    flight.taken,
+                    max(flight.stall_until - cycle, 0),
+                    [
+                        (reg, (known - committed[reg]) & MASK64)
+                        for reg, known in flight.src_vals.items()
+                    ],
+                    deps,
+                )
+            )
+        return (
+            entries,
+            [flight.seq - seq for flight in self._issueq],
+            {
+                producer - seq: [flight.seq - seq for flight in waiters]
+                for producer, waiters in self._parked.items()
+            },
+            [flight.seq - seq for flight in self._woken],
+            {reg: producer - seq for reg, producer in self._spec_map.items()},
+            self._spec_pc,
+            self.context.pc,
+            self._last_progress - cycle,
+        )
+
+    def _spin_probe(self, now: int) -> tuple:
+        """State, counters and ``_seq`` before a probed spinning tick."""
+        return self._spin_state(now), self._counts(), self._seq
+
+    def _try_spin(self, now: int, probe: tuple) -> None:
+        """Fall asleep after a probed tick that turned out to be one period
+        of a register-only loop's steady state: the state after it equals
+        the state before, shifted by one period (seqs by the instructions
+        it dispatched, cycles by one, each loop register by what those
+        iterations add).
+
+        The tick commutes with that shift as long as every branch it
+        dispatches is taken, because the loop body only adds constants;
+        so the core sleeps until the first cycle that dispatches the exit
+        (:meth:`_spin_exit`), re-applying the probed tick's counter
+        increments each cycle as a quiet sleep does.  A period-2 steady
+        state (``int_latency=2``, say) fails the probe and ticks through.
+        After a failed probe the next waits two cycles.
+        """
+        state, before, seq = probe
+        if not self._spinning() or self._spin_state(now + 1) != state:
+            self._spin_retry = now + 2
+            return
+        loop = self._rob[0].op.spin
+        assert loop is not None
+        # Equal states put dispatch back at the same pc, having dispatched
+        # only loop instructions since: whole iterations, at least one.
+        iterations = (self._seq - seq) // (loop.branch - loop.head + 1)
+        wake = self._spin_exit(now, loop, iterations)
+        if wake <= now + 1:
+            return
+        self._sleep_ledger = self._ledger(before)
+        self._sleep_mshr_stalls = 0
+        addends = {reg: (step * iterations) & MASK64 for reg, step in loop.steps}
+        self._spin = (self._seq - seq, addends)
+        self._spin_at = now
+        self._sleep_until = wake
+
+    def _spin_exit(self, now: int, loop: SpinLoop, iterations: int) -> int:
+        """The first cycle after ``now`` that dispatches the loop's exit, a
+        ``brnz`` that sees its register at zero, when each tick dispatches
+        ``iterations`` whole iterations (``_NEVER`` for ``ba``, or when the
+        register never reaches zero)."""
+        cond = loop.cond
+        if cond is None:
+            return _NEVER
+        assert self.context is not None
+        producer = self._spec_map.get(cond)
+        if producer is None:
+            value = self.context.registers.raw_values[cond]
+        else:
+            value = self._values[producer]  # known at dispatch in such a loop
+        # The m-th branch dispatched from here sees first + (m - 1) * step:
+        # solve j * step == -first (mod 2**64) for the smallest j >= 0.
+        first = (value + loop.to_branch[self._spec_pc - loop.head]) & MASK64
+        step = dict(loop.steps)[cond]
+        if not step:
+            return now if not first else _NEVER
+        low = step & -step
+        if first % low:
+            return _NEVER
+        modulus = (1 << 64) // low
+        j = (-(first // low) * pow(step // low, -1, modulus)) % modulus
+        return now + (j + iterations) // iterations
+
+    def _settle(self, last: int) -> None:
+        """Shift a spin sleep's pipeline by the periods from ``_spin_at``
+        to ``last``: what ticking them would have left.
+
+        Every in-flight entry moves: its seq, producers, ready and stall
+        cycles, value and source values; so do the ``_values``/``_ready``
+        entries in-flight entries read, ``_spec_map``, the parked keys,
+        ``_seq``, the watchdog's ``_last_progress``, the committed loop
+        registers and ``retired_instructions``.  ``context.pc`` repeats
+        every period.
+        """
+        spin = self._spin
+        if spin is None or last <= self._spin_at:
+            return
+        assert self.context is not None
+        periods = last - self._spin_at
+        self._spin_at = last
+        self.spun_ticks += periods
+        seqs = spin[0] * periods
+        addends = {reg: (step * periods) & MASK64 for reg, step in spin[1].items()}
+        # The value and ready entries in-flight entries read, keyed by the
+        # register each value belongs to.
+        owners: Dict[int, Optional[str]] = {}
+        for flight in self._rob:
+            owners[flight.seq] = flight.op.writes
+            for reg, producer in flight.dep_seqs.items():
+                owners[producer] = reg
+        values = self._values
+        ready = self._ready
+        moved_values: Dict[int, int] = {}
+        moved_ready: Dict[int, int] = {}
+        for seq, reg in owners.items():
+            value = values.pop(seq, None)
+            if value is not None:
+                if reg is not None:
+                    value = (value + addends[reg]) & MASK64
+                moved_values[seq + seqs] = value
+            cycle = ready.pop(seq, None)
+            if cycle is not None:
+                moved_ready[seq + seqs] = cycle + periods
+        values.update(moved_values)
+        ready.update(moved_ready)
+        for flight in self._rob:
+            flight.seq += seqs
+            if flight.dep_seqs:
+                flight.dep_seqs = {
+                    reg: producer + seqs for reg, producer in flight.dep_seqs.items()
+                }
+                flight.dep_list = tuple(flight.dep_seqs.values())
+            if flight.src_vals:
+                flight.src_vals = {
+                    reg: (value + addends[reg]) & MASK64
+                    for reg, value in flight.src_vals.items()
+                }
+            writes = flight.op.writes
+            if flight.value is not None and writes is not None:
+                flight.value = (flight.value + addends[writes]) & MASK64
+            if flight.ready_at is not None:
+                flight.ready_at += periods
+            if flight.stall_until:
+                flight.stall_until += periods
+        self._spec_map = {
+            reg: producer + seqs for reg, producer in self._spec_map.items()
+        }
+        self._parked = {
+            producer + seqs: waiters for producer, waiters in self._parked.items()
+        }
+        self._seq += seqs
+        self._last_progress += periods
+        registers = self.context.registers.raw_values
+        for reg, addend in addends.items():
+            registers[reg] = (registers[reg] + addend) & MASK64
+        self.context.retired_instructions += seqs
 
     def next_event(self, now: int) -> Optional[int]:
         """Earliest cycle, from ``now`` on, at which this core must be
@@ -406,8 +700,10 @@ class Core:
         }
 
     def snapshot(self) -> Dict[str, object]:
-        """Diagnostic view of this core: the ROB head, queue occupancy,
-        sleep state and uncached-buffer occupancy."""
+        """Diagnostic view of this core (settled first, see
+        :meth:`settle`): the ROB head, queue occupancy, sleep state and
+        uncached-buffer occupancy."""
+        self.settle()
         head = self._rob[0] if self._rob else None
         return {
             "core": self.core_id,
@@ -423,7 +719,7 @@ class Core:
                 "mem_state": head.mem_state.value,
             },
             "asleep_until": (
-                self._sleep_until if self._sleep_until > self.now else None
+                self._sleep_until if self.now < self._sleep_until < _NEVER else None
             ),
             "slept_ticks": self.slept_ticks,
             "uncached_buffer": self.unit.buffer.occupancy,
@@ -723,6 +1019,7 @@ class Core:
             if self.trace is not None:
                 self.trace.record(now, "issue", flight.seq, flight.pc, instr)
             self._n_issued.value += 1
+            self._issued += 1
         self._issueq = kept
 
     def _record_ready(self, flight: InFlight, cycle: int) -> None:
@@ -1158,6 +1455,7 @@ class Core:
         context.retired_instructions += 1
         self._last_progress = now
         self._n_retired.value += 1
+        self._retired += 1
 
     # -- precise interrupts ---------------------------------------------------------------
 

@@ -8,12 +8,14 @@ once per :class:`~repro.isa.program.Program` (immutable once finalized),
 so the core reads :class:`DecodedOp` fields instead of calling
 ``sources()``, ``destination()``, ``isinstance`` chains and
 ``Program.target_of`` for every dynamic instruction.  A record only
-restates the instruction's own API.
+restates the instruction's own API, plus one fact about its place in the
+program: the register-only countdown loop (:class:`SpinLoop`) it sits in,
+if any.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro.isa.instructions import (
@@ -31,6 +33,7 @@ from repro.isa.instructions import (
     SwapInstruction,
 )
 from repro.isa.program import Program, ProgramError
+from repro.isa.registers import MASK64, is_fp_register
 
 #: Queue routes (``DecodedOp.route``): the memory queue; the issue queue;
 #: issued at dispatch (no functional-unit class); no queue at all (marks,
@@ -57,6 +60,72 @@ _KINDS: Tuple[Tuple[type, str], ...] = (
 )
 
 
+class SpinLoop(NamedTuple):
+    """A register-only countdown loop: a backward ``brnz r`` or ``ba``
+    whose other body instructions only add or subtract an immediate to
+    their own integer register (``r`` among them).  Each iteration adds a
+    constant to each of those registers, modulo 2**64, so a core spinning
+    in one may sleep through its steady state (see
+    :meth:`repro.cpu.core.Core.tick`)."""
+
+    #: the branch target: the body's first pc
+    head: int
+    #: the closing branch's pc: the body's last
+    branch: int
+    #: the register ``brnz`` tests; None for ``ba``, which never exits
+    cond: Optional[str]
+    #: ``(register, what one iteration adds to it mod 2**64)`` pairs
+    steps: Tuple[Tuple[str, int], ...]
+    #: what the body adds to ``cond`` from each body position (offset
+    #: from ``head``) up to the branch, mod 2**64
+    to_branch: Tuple[int, ...]
+
+
+def _affine_step(instr: Instruction) -> Optional[Tuple[str, int]]:
+    """``(register, addend mod 2**64)`` for an integer ``add``/``sub`` of an
+    immediate to its own register, else None."""
+    if (
+        not isinstance(instr, AluInstruction)
+        or instr.op not in ("add", "sub")
+        or isinstance(instr.operand2, str)
+        or instr.rs1 != instr.rd
+        or instr.rd == "r0"
+        or is_fp_register(instr.rd)
+    ):
+        return None
+    addend = instr.operand2 if instr.op == "add" else -instr.operand2
+    return instr.rd, addend & MASK64
+
+
+def _spin_loops(program: Program) -> Dict[int, SpinLoop]:
+    """Every pc inside a :class:`SpinLoop` of ``program``, mapped to it.
+    Such loops never overlap: a body holds no branch."""
+    loops: Dict[int, SpinLoop] = {}
+    for pc, instr in enumerate(program):
+        if not isinstance(instr, BranchInstruction) or instr.op not in ("brnz", "ba"):
+            continue
+        head = program.target_of(instr)
+        affine = [_affine_step(program[index]) for index in range(head, pc)]
+        body = [step for step in affine if step is not None]
+        if head > pc or len(body) < len(affine):
+            continue
+        steps: Dict[str, int] = {}
+        for reg, addend in body:
+            steps[reg] = (steps.get(reg, 0) + addend) & MASK64
+        cond = instr.rs1
+        if cond is not None and cond not in steps:
+            continue
+        to_branch = [0] * (pc - head + 1)
+        for offset in range(pc - head - 1, -1, -1):
+            reg, addend = body[offset]
+            here = addend if reg == cond else 0
+            to_branch[offset] = (to_branch[offset + 1] + here) & MASK64
+        loop = SpinLoop(head, pc, cond, tuple(steps.items()), tuple(to_branch))
+        for index in range(head, pc + 1):
+            loops[index] = loop
+    return loops
+
+
 class DecodedOp:
     """Everything the core needs from one static instruction."""
 
@@ -74,9 +143,15 @@ class DecodedOp:
         "needs_values",
         "computes",
         "atomic",
+        "spin",
     )
 
-    def __init__(self, instr: Instruction, target: Optional[int]) -> None:
+    def __init__(
+        self,
+        instr: Instruction,
+        target: Optional[int],
+        spin: Optional[SpinLoop] = None,
+    ) -> None:
         self.instr = instr
         self.kind = next(
             (kind for cls, kind in _KINDS if isinstance(instr, cls)), "other"
@@ -109,15 +184,19 @@ class DecodedOp:
         self.computes = self.kind in ("set", "cmp", "alu")
         #: executes at the head of the ROB even on cached space
         self.atomic = self.kind in ("swap", "sc")
+        #: the register-only countdown loop this pc sits in, if any
+        self.spin = spin
 
 
 #: Per-program tables, dropped with their program.
 _TABLES: "WeakKeyDictionary[Program, List[DecodedOp]]" = WeakKeyDictionary()
 
 #: Records shared by every pc and program that repeat an instruction (and,
-#: for a branch, its target): programs are assembled from a few hundred
-#: distinct lines.  Cleared when full.
-_RECORDS: Dict[Tuple[Instruction, Optional[int]], DecodedOp] = {}
+#: for a branch, its target, and the loop it closes or sits in): programs
+#: are assembled from a few hundred distinct lines.  Cleared when full.
+_RECORDS: Dict[
+    Tuple[Instruction, Optional[int], Optional[SpinLoop]], DecodedOp
+] = {}
 _RECORDS_LIMIT = 4096
 
 
@@ -128,24 +207,28 @@ def decode_program(program: Program) -> List[DecodedOp]:
     if table is None:
         if not program.finalized:
             raise ProgramError("decode_program requires a finalized program")
+        loops = _spin_loops(program)
         table = [
             _record(
                 instr,
                 program.target_of(instr)
                 if isinstance(instr, BranchInstruction)
                 else None,
+                loops.get(pc),
             )
-            for instr in program
+            for pc, instr in enumerate(program)
         ]
         _TABLES[program] = table
     return table
 
 
-def _record(instr: Instruction, target: Optional[int]) -> DecodedOp:
-    key = (instr, target)
+def _record(
+    instr: Instruction, target: Optional[int], spin: Optional[SpinLoop]
+) -> DecodedOp:
+    key = (instr, target, spin)
     record = _RECORDS.get(key)
     if record is None:
         if len(_RECORDS) >= _RECORDS_LIMIT:
             _RECORDS.clear()
-        record = _RECORDS[key] = DecodedOp(instr, target)
+        record = _RECORDS[key] = DecodedOp(instr, target, spin)
     return record

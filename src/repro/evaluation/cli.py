@@ -40,8 +40,13 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.common.errors import ConfigError
 from repro.common.tables import Table
-from repro.evaluation.experiments import experiment_ids, run_experiment
+from repro.evaluation.experiments import (
+    experiment_ids,
+    ignores_runner,
+    run_experiment,
+)
 from repro.evaluation.runner import (
     ResultCache,
     SweepRunner,
@@ -164,7 +169,6 @@ def _fields_from_flags(cls, items, flag: str) -> dict:
     section, ``enabled`` defaulting to true, and check that they build
     one: the parser behind ``--sample`` and ``--mem`` (``--tier sampled``
     feeds it no flags)."""
-    from repro.common.errors import ConfigError
     from repro.common.serialize import parse_field_assignments
 
     try:
@@ -255,11 +259,33 @@ def _table_variant(runner: SweepRunner) -> str:
     return ";".join(parts)
 
 
-def _resolve_table(experiment_id: str, runner: SweepRunner) -> Table:
+def _resolve_table(
+    experiment_id: str, runner: SweepRunner, outside: List[str]
+) -> Table:
     """Run one experiment through the runner, with a whole-table cache in
     front for the studies that cannot be decomposed into SimJobs.  In
     observed mode (tracing/metrics) the table cache is bypassed so every
-    job actually simulates."""
+    job actually simulates.
+
+    A study that runs outside the runner gets a note through the
+    runner's log when a flag it ignores was given, and its id joins
+    ``outside`` when it runs.
+    """
+    outsider = ignores_runner(experiment_id)
+    if outsider:
+        ignored = [
+            flag
+            for flag, given in (
+                ("--tier sampled", runner.sampling is not None),
+                ("--mem", bool(runner.overrides)),
+            )
+            if given
+        ]
+        if ignored:
+            runner.log(
+                f"note: {experiment_id} runs outside the sweep runner and "
+                f"ignores {' and '.join(ignored)}"
+            )
     cache = None if runner.observed else runner.cache
     key = experiment_key(experiment_id, variant=_table_variant(runner))
     if cache is not None:
@@ -267,17 +293,22 @@ def _resolve_table(experiment_id: str, runner: SweepRunner) -> Table:
         if cached is not None:
             return cached
     table = run_experiment(experiment_id, runner)
+    if outsider:
+        outside.append(experiment_id)
     if cache is not None:
         cache.put_table(key, table, name=experiment_id)
     return table
 
 
-def _report(runner: SweepRunner, elapsed: float, quiet: bool) -> None:
+def _report(
+    runner: SweepRunner, outside: List[str], elapsed: float, quiet: bool
+) -> None:
     if quiet:
         return
+    tables = f", {len(outside)} outside the runner" if outside else ""
     print(
-        f"[{runner.simulated} simulated, {runner.cache_hits} cached, "
-        f"{elapsed:.1f}s]",
+        f"[{runner.simulated} simulated, {runner.cache_hits} cached"
+        f"{tables}, {elapsed:.1f}s]",
         file=sys.stderr,
     )
 
@@ -307,7 +338,6 @@ def _profile_parser() -> argparse.ArgumentParser:
 
 
 def _profile_main(argv: List[str]) -> int:
-    from repro.common.errors import ConfigError
     from repro.observability.profile import profile_table
 
     args = _profile_parser().parse_args(argv)
@@ -649,7 +679,6 @@ def _mc_main(argv: List[str]) -> int:
         results_to_json,
         write_counterexamples,
     )
-    from repro.common.errors import ConfigError
 
     args = _mc_parser().parse_args(argv)
     tests = [
@@ -850,7 +879,7 @@ def _campaign_main(argv: List[str]) -> int:
     import signal
     import threading
 
-    from repro.common.errors import ConfigError, ReproError
+    from repro.common.errors import ReproError
     from repro.evaluation.campaign import (
         CampaignManifest,
         example_manifest,
@@ -982,15 +1011,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         trace_stream = open(args.trace_events, "w", encoding="utf-8")
     try:
         runner = _make_runner(args, trace_stream=trace_stream)
+        outside: List[str] = []
         started = time.monotonic()
         if args.check:
-            status = _check_against(chosen, args.check, runner)
-            _report(runner, time.monotonic() - started, args.quiet)
+            status = _check_against(chosen, args.check, runner, outside)
+            _report(runner, outside, time.monotonic() - started, args.quiet)
             return status
         for experiment_id in chosen:
             if not args.quiet:
                 print(f"[{experiment_id}]", file=sys.stderr)
-            table = _resolve_table(experiment_id, runner)
+            table = _resolve_table(experiment_id, runner, outside)
             if args.markdown:
                 print(table.to_markdown(precision=args.precision))
             else:
@@ -1010,8 +1040,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 handle.write("\n")
             if not args.quiet:
                 print(f"[wrote {args.metrics_out}]", file=sys.stderr)
-        _report(runner, time.monotonic() - started, args.quiet)
+        _report(runner, outside, time.monotonic() - started, args.quiet)
         return 0
+    except ConfigError as exc:
+        # Flags valid alone can still merge into an invalid per-job
+        # config (a --mem line size against the hierarchy's).
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if trace_stream is not None:
             trace_stream.close()
@@ -1046,9 +1081,7 @@ def _diff_lines(actual: str, expected: str) -> List[str]:
 
 
 def _check_against(
-    chosen: List[str],
-    golden_dir: str,
-    runner: Optional[SweepRunner] = None,
+    chosen: List[str], golden_dir: str, runner: SweepRunner, outside: List[str]
 ) -> int:
     """Golden-file regression: simulations are deterministic, so every
     regenerated table must match its stored CSV byte for byte."""
@@ -1061,10 +1094,7 @@ def _check_against(
             continue
         with open(path, "r", encoding="utf-8") as handle:
             expected = handle.read()
-        if runner is None:
-            actual = run_experiment(experiment_id).to_csv()
-        else:
-            actual = _resolve_table(experiment_id, runner).to_csv()
+        actual = _resolve_table(experiment_id, runner, outside).to_csv()
         if actual == expected:
             print(f"{experiment_id}: OK")
         else:

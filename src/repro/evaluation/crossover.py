@@ -175,13 +175,3 @@ def crossover_table(sizes: Iterable[int] = MESSAGE_SIZES) -> Table:
     for method in METHODS:
         table.add_row(method, *[send_latency(method, size) for size in sizes])
     return table
-
-
-def break_even(method: str, against: str = "dma",
-               sizes: Iterable[int] = MESSAGE_SIZES) -> int:
-    """Smallest message size at which ``against`` becomes at least as fast
-    as ``method`` (returns a sentinel past the sweep if it never does)."""
-    for size in sizes:
-        if send_latency(against, size) <= send_latency(method, size):
-            return size
-    return max(sizes) * 2

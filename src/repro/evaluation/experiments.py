@@ -36,12 +36,14 @@ def _bandwidth_factory(figure: int, panel: str) -> TableFactory:
 
 def _ignores_runner(factory: Callable[[], Table]) -> TableFactory:
     """Adapt a zero-argument factory (a study that is not a sweep of
-    independent simulations) to the registry signature."""
+    independent simulations) to the registry signature, marked for
+    :func:`ignores_runner`."""
 
     def build(runner: Optional[SweepRunner] = None) -> Table:
         return factory()
 
     build.__name__ = getattr(factory, "__name__", "experiment")
+    setattr(build, "ignores_runner", True)
     return build
 
 
@@ -151,3 +153,11 @@ def run_experiment(
             f"unknown experiment {experiment_id!r}; have {experiment_ids()}"
         ) from None
     return factory(runner)
+
+
+def ignores_runner(experiment_id: str) -> bool:
+    """True for the studies that run their own simulations outside the
+    sweep runner, so its tier, sampling and config overrides never reach
+    them (pingpong, the loaded bus, crossover, blockstore, fault-sweep,
+    smp-contention, sync-mechanisms)."""
+    return getattr(EXPERIMENTS[experiment_id], "ignores_runner", False)

@@ -258,6 +258,8 @@ class System:
         for core in self.cores:
             core.tick(now)
         self.scheduler.tick(now)
+        for core in self.cores:
+            core.settle()
         self.cycle += 1
 
     def advance(
@@ -356,6 +358,8 @@ class System:
                 cycle += 1
         finally:
             self.cycle = cycle
+            for core in cores:
+                core.settle()
         return cycle - start
 
     def _next_event(self, cycle: int, limit: int) -> int:

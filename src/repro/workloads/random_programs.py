@@ -10,7 +10,9 @@ pass the :mod:`repro.analysis` lint oracle with zero error findings, and
 must halt — properties tests/random/test_differential.py asserts for
 every seed before using the program to cross-check simulator modes
 against each other (trace on/off, cached vs fresh runner, SMP core 0 vs
-the single-core system).
+the single-core system).  :func:`generate_spin_program` follows each
+fragment with a register-only countdown spin, the CSB retry backoff's
+shape, for the suites that check a core sleeping through spins.
 
 Determinism: one ``random.Random(seed)`` drives all choices, so a seed
 names a program forever.  The whole program is bracketed by ``mark``
@@ -143,15 +145,45 @@ _FRAGMENTS = (
 )
 
 
+def _spin_fragment(rng: random.Random, idx: int) -> List[str]:
+    """A bounded countdown spin whose body only adds immediates to its own
+    registers: the counter steps by 1-3 from ``trips * step`` down to
+    zero, or up from ``-trips * step`` (wrapping through 2**64), with up
+    to two bystander registers stepping beside it."""
+    step = rng.randrange(1, 4)
+    trips = rng.choice((1, 2, rng.randrange(3, 70), rng.randrange(70, 300)))
+    up = rng.random() < 0.25
+    body = [f"{'add' if up else 'sub'} %l6, {step}, %l6"]
+    for reg in rng.sample(("%l5", "%l7", "%o4"), rng.randrange(3)):
+        op = rng.choice(("add", "sub"))
+        line = f"{op} {reg}, {rng.randrange(1, 9)}, {reg}"
+        body.insert(rng.randrange(len(body) + 1), line)
+    start = -trips * step if up else trips * step
+    return [f"set {start}, %l6", f".SPIN{idx}:", *body, f"brnz %l6, .SPIN{idx}"]
+
+
 def generate_program(
     seed: int, min_fragments: int = 3, max_fragments: int = 7
 ) -> str:
     """A random, lint-clean, halting guest program named by ``seed``."""
-    rng = random.Random(seed)
+    return _generate(random.Random(seed), min_fragments, max_fragments, spin=False)
+
+
+def generate_spin_program(seed: int) -> str:
+    """:func:`generate_program`'s kind of program with a register-only
+    countdown spin after every fragment, named by ``seed``."""
+    return _generate(random.Random(seed), 3, 7, spin=True)
+
+
+def _generate(
+    rng: random.Random, min_fragments: int, max_fragments: int, spin: bool
+) -> str:
     count = rng.randrange(min_fragments, max_fragments + 1)
     lines: List[str] = [f"mark {MARK_START}"]
     for idx in range(count):
         template = rng.choice(_FRAGMENTS)
         lines.extend(template(rng, idx))
+        if spin:
+            lines.extend(_spin_fragment(rng, idx))
     lines += [f"mark {MARK_END}", "halt"]
     return "\n".join(lines)

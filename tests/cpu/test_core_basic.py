@@ -125,8 +125,11 @@ class TestRetirement:
         assert system.stats.marks["b"] >= system.stats.marks["a"]
 
     def test_infinite_loop_hits_watchdog(self):
-        with pytest.raises(DeadlockError):
+        # A spin retires every cycle, so the clock driver's max_cycles
+        # ends it, not the no-progress watchdog.
+        with pytest.raises(DeadlockError) as caught:
             run_asm("loop: ba loop\nhalt", max_cycles=100_000)
+        assert caught.value.cycle == 100_000
 
 
 class TestStats:

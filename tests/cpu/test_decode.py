@@ -134,3 +134,34 @@ def test_record_memo_stays_bounded(monkeypatch):
     )
     _check_table(program)
     assert len(decode._RECORDS) <= 4
+
+
+def test_spin_loops_are_marked_at_every_pc():
+    # The CSB backoff's countdown with a bystander register, an
+    # up-counter and the ba self-loop are register-only loops; a loop
+    # with a store or a compare in its body, or whose brnz tests a
+    # register the body leaves alone, is not.  The same `sub` line
+    # outside a loop keeps its own record.
+    program = assemble(
+        "sub %l6, 1, %l6\n"
+        ".SPIN:\nadd %l5, 2, %l5\nsub %l6, 1, %l6\nbrnz %l6, .SPIN\n"
+        ".UP:\nadd %l4, 3, %l4\nbrnz %l4, .UP\n"
+        ".STORE:\nstx %l6, [%o0]\nsub %l6, 1, %l6\nbrnz %l6, .STORE\n"
+        ".CMP:\nsub %l6, 1, %l6\ncmp %l6, 0\nbne .CMP\n"
+        ".OTHER:\nadd %l5, 1, %l5\nbrnz %l6, .OTHER\n"
+        "loop: ba loop\nhalt\n"
+    )
+    table = decode_program(program)
+    spin = table[1].spin
+    assert spin is not None
+    assert [record.spin for record in table[1:4]] == [spin] * 3
+    assert (spin.head, spin.branch, spin.cond) == (1, 3, "r22")
+    assert dict(spin.steps) == {"r21": 2, "r22": (1 << 64) - 1}
+    assert spin.to_branch == ((1 << 64) - 1, (1 << 64) - 1, 0)
+    up = table[4].spin
+    assert up is not None and dict(up.steps) == {"r20": 3}
+    assert table[0].spin is None and table[0] is not table[2]
+    assert all(record.spin is None for record in table[6:14])
+    ba = table[14].spin
+    assert ba is not None and (ba.head, ba.branch, ba.cond) == (14, 14, None)
+    assert table[15].spin is None

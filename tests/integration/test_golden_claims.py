@@ -126,7 +126,7 @@ def test_crossover_table():
 
 
 def _break_even(table, method, against="dma"):
-    """``crossover.break_even`` over the golden cells: the smallest message
+    """The break-even message size over the golden cells: the smallest
     size at which ``against`` is at least as fast as ``method`` (twice the
     largest size if it never is)."""
     sizes = list(table[method])

@@ -81,6 +81,26 @@ class TestMemFlag:
         assert "sampled:" in both and "overrides:" in both
 
 
+class TestInvalidMergedConfig:
+    """Flags valid alone can merge into an invalid per-job config: the CLI
+    says so in one line and exits 2, as for other bad input."""
+
+    @pytest.mark.parametrize("check", [False, True], ids=["print", "check"])
+    def test_mem_line_size_mismatch_is_a_usage_error(self, capsys, check):
+        from repro.evaluation.cli import main
+
+        argv = ["fig3a", "--mem", "enabled=true", "--no-cache"]
+        if check:
+            argv += ["--check", "expected_results"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [
+            "error: data cache line size must match the hierarchy line size"
+        ]
+        assert "Traceback" not in err
+
+
 class TestRunnerOverrides:
     def test_overrides_rewrite_jobs_and_cache_keys(self):
         job = _span_job()

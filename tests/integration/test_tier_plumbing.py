@@ -13,7 +13,13 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import SamplingConfig
-from repro.evaluation.cli import _parser, _sampling_from_args, _table_variant
+from repro.evaluation.cli import (
+    _parser,
+    _sampling_from_args,
+    _table_variant,
+    main,
+)
+from repro.evaluation.experiments import experiment_ids, ignores_runner
 from repro.evaluation.runner import (
     ResultCache,
     SimJob,
@@ -125,3 +131,54 @@ class TestRunnerRewrite:
         assert runner._with_sampling(job) is job
         baseline = SweepRunner(jobs=1).run([job])
         assert SweepRunner(jobs=1, sampling=None).run([job]) == baseline
+
+
+class TestStudiesOutsideTheRunner:
+    """Studies that run their own simulations never see the runner's tier
+    or overrides; the CLI says so instead of staying silent."""
+
+    def test_the_registry_marks_them(self):
+        assert [e for e in experiment_ids() if ignores_runner(e)] == [
+            "blockstore",
+            "crossover",
+            "fault-sweep",
+            "loaded-bus",
+            "loaded-bus-misses",
+            "pingpong",
+            "smp-contention",
+            "sync-mechanisms",
+        ]
+
+    def test_sampled_tier_is_noted(self, capsys):
+        assert main(["smp-contention", "--tier", "sampled", "--no-cache"]) == 0
+        err = capsys.readouterr().err
+        notes = [line for line in err.splitlines() if line.startswith("note:")]
+        assert notes == [
+            "note: smp-contention runs outside the sweep runner and "
+            "ignores --tier sampled"
+        ]
+        assert "[0 simulated, 0 cached, 1 outside the runner," in err
+
+    def test_one_note_per_table_naming_each_flag(self, capsys):
+        argv = ["sync-mechanisms", "crossover", "fig3a", "--no-cache"]
+        argv += ["--sample", "window_cycles=800", "--mem", "enabled=false"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        notes = [line for line in err.splitlines() if line.startswith("note:")]
+        assert notes == [
+            f"note: {study} runs outside the sweep runner and ignores "
+            "--tier sampled and --mem"
+            for study in ("sync-mechanisms", "crossover")
+        ]
+        assert ", 2 outside the runner," in err
+
+    def test_quiet_silences_the_note(self, capsys):
+        argv = ["sync-mechanisms", "--tier", "sampled", "--no-cache", "--quiet"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_no_note_without_an_ignored_flag(self, capsys):
+        assert main(["sync-mechanisms", "--no-cache"]) == 0
+        err = capsys.readouterr().err
+        assert "note:" not in err
+        assert ", 1 outside the runner," in err

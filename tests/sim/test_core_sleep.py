@@ -1,35 +1,44 @@
-"""Quiet-tick sleeping, the clock jump, issue parking and the memory-queue
-lists change nothing a simulation computes.
+"""Quiet-tick sleeping, spin sleeping, the clock jump, issue parking and
+the memory-queue lists change nothing a simulation computes.
 
 A stalled core sleeps instead of re-running its stages (see
 :meth:`repro.cpu.core.Core.tick`): it re-applies one quiet tick's counter
 increments each cycle until one of its timers could change the outcome,
 the bus accepts a transaction, or the scheduler or a value delivery wakes
-it.  While every core sleeps or has no live context, the clock driver
-jumps to the earliest cycle any component could act
+it.  A core spinning in a register-only countdown loop sleeps through the
+loop's steady state the same way and shifts its pipeline by the periods it
+slept when it wakes.  While every core sleeps or has no live context, the
+clock driver jumps to the earliest cycle any component could act
 (:meth:`repro.sim.system.System.advance`).  The issue stage parks an entry
 whose producer has no ready cycle yet until that cycle is recorded.  The
 memory-queue stage walks only the cached entries still waiting to execute
 and the accesses in flight, not the uncached entries parked for the ROB
 head.
 
-Every run here executes five times: as shipped; with the jump disabled
-(``System._next_event`` monkeypatched to return the current cycle); with
-the issue stage replaced by :func:`scanning_issue`, the scanning issue
-stage kept verbatim as the reference; with the memory-queue stage replaced
-by :func:`scanning_memq`, the stage that walks all of ``_memq``, kept
-verbatim; and with all of these off.  The cycle count, every counter, the
-marks, the transaction records, the metrics snapshot and the pipeline
-trace must agree exactly.
+Every run in the first sections executes six times: as shipped; with the
+jump disabled (``System._next_event`` monkeypatched to return the current
+cycle); with the issue stage replaced by :func:`scanning_issue`, the
+scanning issue stage kept verbatim as the reference; with the memory-queue
+stage replaced by :func:`scanning_memq`, the stage that walks all of
+``_memq``, kept verbatim; with spin sleeping off (``Core._spinning``, the
+spin trigger, monkeypatched to say no); and with all of these off.  The cycle count, every counter, the
+marks, the transaction records, the metrics snapshot, the pipeline trace
+and each process's pc, retired count and registers must agree exactly.
+
+Those runs attach a pipeline trace, which turns spin sleeping off.  The
+spinning-core section therefore runs with the trace off, each case twice:
+with spin sleeping off and as shipped.
 """
 
 from __future__ import annotations
 
+import io
 from typing import List
 
 import pytest
 
 from repro.common.config import (
+    CoreConfig,
     MemoryConfig,
     MemoryHierarchyConfig,
     SamplingConfig,
@@ -44,6 +53,7 @@ from repro.devices.ring import DescriptorRing
 from repro.devices.sink import BurstSink
 from repro.evaluation import crossover
 from repro.evaluation.rtt import _build_node
+from repro.evaluation.runner import SweepRunner, TraceJob
 from repro.evaluation.smp_contention import smp_contention_system
 from repro.faults.config import FaultConfig
 from repro.isa.assembler import assemble
@@ -54,6 +64,7 @@ from repro.isa.instructions import (
     SwapInstruction,
 )
 from repro.memory.layout import IO_COMBINING_BASE, IO_UNCACHED_BASE, PageAttr, Region
+from repro.observability import JsonlSink
 from repro.sim.cluster import Cluster
 from repro.sim.sampling import run_sampled
 from repro.sim.system import System
@@ -61,7 +72,7 @@ from repro.workloads.contention import contending_csb_kernel
 from repro.workloads.lockbench import DEFAULT_LOCK_ADDR
 from repro.workloads.messaging import dma_send_kernel, pio_send_kernel
 from repro.workloads.pingpong import ping_kernel, pong_kernel
-from repro.workloads.random_programs import generate_program
+from repro.workloads.random_programs import generate_program, generate_spin_program
 from repro.workloads.spec import TraceWorkload
 from repro.workloads.storebw import store_kernel_uncached
 from repro.workloads.traces.compile import ring_region
@@ -81,6 +92,11 @@ MAX_CYCLES = 5_000_000
 
 def _never_sleep(self, now, probe):
     """Stand-in for ``Core._try_sleep``: the core ticks through."""
+
+
+def _never_spinning(self):
+    """Stand-in for ``Core._spinning``: a spinning core is never probed
+    and ticks through."""
 
 
 def _never_jump(self, cycle, limit):
@@ -226,19 +242,48 @@ def _parked(systems):
     return sum(core.parked_entries for system in systems for core in system.cores)
 
 
+def _spun(systems):
+    return sum(core.spun_ticks for system in systems for core in system.cores)
+
+
+def _processes(system):
+    """Each process's architectural state: pid, pc, retired count, halted
+    and registers."""
+    return [
+        (
+            process.pid,
+            process.pc,
+            process.retired_instructions,
+            process.halted,
+            process.registers.snapshot(),
+        )
+        for process in system.scheduler.processes
+    ]
+
+
+def _signature(system):
+    signature = run_signature(system)
+    signature["processes"] = _processes(system)
+    return signature
+
+
 def _both(monkeypatch, run):
-    """``run()`` as shipped and against four references.
+    """``run()`` as shipped and against five references.
 
     ``run`` returns ``(signature, systems)``.  The references are the
     shipped code with the clock jump off, the shipped code with the
     scanning issue stage, the shipped code with the scanning memory-queue
-    stage, and a run with sleeping, the jump, parking and the memory-queue
-    lists all off; the first three must equal the shipped run.  The result
-    is the all-off signature, the shipped one and the shipped run's
-    systems.
+    stage, the shipped code with spin sleeping off, and a run with
+    sleeping, spinning, the jump, parking and the memory-queue lists all
+    off; the first four must equal the shipped run.  The spin-off
+    reference runs only when a system has no pipeline trace: a trace
+    turns spin sleeping off, which makes that run the shipped one.  The
+    result is the all-off signature, the shipped one and the shipped
+    run's systems.
     """
     with monkeypatch.context() as patch:
         patch.setattr(Core, "_try_sleep", _never_sleep)
+        patch.setattr(Core, "_spinning", _never_spinning)
         patch.setattr(System, "_next_event", _never_jump)
         patch.setattr(Core, "_issue", scanning_issue)
         patch.setattr(Core, "_memq_issue", scanning_memq)
@@ -260,18 +305,24 @@ def _both(monkeypatch, run):
     assert ticked == asleep
     assert scanned == asleep
     assert memq_scanned == asleep
+    if any(system.trace is None for system in systems):
+        with monkeypatch.context() as patch:
+            patch.setattr(Core, "_spinning", _never_spinning)
+            unspun, unspun_systems = run()
+        assert _spun(unspun_systems) == 0
+        assert unspun == asleep
     return awake, asleep, systems
 
 
-def _program_run(source, config, window=None):
+def _program_run(source, config, window=None, max_cycles=MAX_CYCLES):
     def run():
         system = System(config)
         system.add_process(assemble(source, name="sleep"))
         if window is None:
-            system.run(max_cycles=MAX_CYCLES)
+            system.run(max_cycles=max_cycles)
         else:
             system.advance(until=window)
-        return run_signature(system), [system]
+        return _signature(system), [system]
 
     return run
 
@@ -593,7 +644,7 @@ def test_until_chunks_end_inside_jumps(monkeypatch, chunk):
             start = system.cycle
             ran = system.advance(until=start + chunk, max_cycles=MAX_CYCLES)
             assert ran == system.cycle - start
-        return run_signature(system), [system]
+        return _signature(system), [system]
 
     awake, asleep, systems = _both(monkeypatch, run)
     assert asleep == awake
@@ -727,3 +778,279 @@ def test_deadlock_snapshot_lists_every_core_and_bus_transaction():
     assert snapshot["bus_in_flight"]
     first = snapshot["bus_in_flight"][0]
     assert first["kind"] == "uncached_store" and first["size"] == 8
+
+
+# -- the per-core sleep trigger -------------------------------------------------
+
+
+def test_stalled_core_sleeps_while_another_core_retires(monkeypatch):
+    # Core 0's uncached stores back up behind a bus 6x slower than the
+    # core while core 1 retires ALU work every cycle: core 0 sleeps on its
+    # own progress, not on counters every core shares.
+    busy = "\n".join(
+        ["set 1000, %l6", ".BUSY:", "sub %l6, 1, %l6", "cmp %l6, 0", "bne .BUSY"]
+    )
+
+    def run():
+        system = System(make_config(num_cores=2, trace=True))
+        system.add_process(assemble(store_kernel_uncached(512)), core_id=0)
+        system.add_process(assemble(busy + "\nhalt"), core_id=1)
+        system.run(max_cycles=MAX_CYCLES)
+        return _signature(system), [system]
+
+    awake, asleep, systems = _both(monkeypatch, run)
+    assert asleep == awake
+    stalled, working = systems[0].cores
+    assert stalled.slept_ticks > 500  # 0 when the trigger read shared counters
+    assert working.slept_ticks == 0
+
+
+# -- spinning cores -------------------------------------------------------------
+
+
+def _spin_off_and_on(monkeypatch, run):
+    """``run()`` with spin sleeping off and as shipped: the signatures must
+    be equal.  Returns the shipped signature and systems."""
+    with monkeypatch.context() as patch:
+        patch.setattr(Core, "_spinning", _never_spinning)
+        ticked, ticked_systems = run()
+    assert _spun(ticked_systems) == 0
+    spun, systems = run()
+    assert spun == ticked
+    return spun, systems
+
+
+def _countdown(trips, step, bystander=False):
+    """A countdown of ``trips`` iterations by ``step``, optionally with a
+    bystander register stepping beside it, whose registers the code after
+    the loop stores and combines.  The bystander's body issues three
+    instructions an iteration: its steady state has period 1 only with
+    more than two integer units."""
+    body = ["add %l5, 3, %l5"] if bystander else []
+    return "\n".join(
+        [
+            "set 0x8000, %o0",
+            "set 7, %l5",
+            f"set {trips * step}, %l6",
+            ".SPIN:",
+            *body,
+            f"sub %l6, {step}, %l6",
+            "brnz %l6, .SPIN",
+            "stx %l5, [%o0]",
+            "add %l5, %l6, %l7",
+            "halt",
+        ]
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_TARGETS))
+def test_registry_target_identical_with_spinning(monkeypatch, name):
+    # The polling kernels hold no register-only loop: a shorter window.
+    target = _TARGETS[name]
+    config = make_config(line_size=target.context.line_size)
+    window = 5_000 if name.startswith(POLLING_PREFIXES) else None
+    run = _program_run(target.source, config, window, max_cycles=10_000)
+    _, systems = _spin_off_and_on(monkeypatch, run)
+    if name == "smp-csb-core7":  # its entry stagger is a countdown spin
+        assert _spun(systems) > 0
+
+
+@pytest.mark.parametrize("cores", [2, 4, 8])
+@pytest.mark.parametrize("kind", ["lock", "csb"])
+def test_smp_contention_identical_with_spinning(monkeypatch, kind, cores):
+    def run():
+        system = smp_contention_system(kind, cores)
+        system.run(max_cycles=20_000)
+        return _signature(system), [system]
+
+    _, systems = _spin_off_and_on(monkeypatch, run)
+    if kind == "csb" and cores > 2:  # retry backoffs spin
+        assert _spun(systems) > 0
+
+
+@pytest.mark.parametrize("seed", [3, 20261016])
+def test_two_core_streamed_csb_replay_spins(monkeypatch, seed):
+    workload = TraceWorkload(
+        name="spin",
+        source=f"synth:n=60,seed={seed},gap=20,devices=4,skew=1.0,sizes=8:3/64:1",
+        discipline="csb",
+    )
+
+    def run():
+        replay = TraceReplay(workload, SystemConfig(num_cores=2), 20_000)
+        result = replay.run()
+        signature = _signature(replay.system)
+        signature["latency"] = result.latency
+        signature["windows"] = result.windows
+        return signature, [replay.system]
+
+    _, systems = _spin_off_and_on(monkeypatch, run)
+    assert _spun(systems) > 0
+
+
+def test_quantum_preemption_inside_spins(monkeypatch):
+    # Each quantum's timer interrupt wakes a core asleep in a spin: the
+    # pipeline catches up, then the squash re-executes the loop later.
+    def run():
+        system = System(make_config(quantum=150, switch_penalty=30))
+        for trips in (700, 900):
+            system.add_process(assemble(_countdown(trips, 1)))
+        system.run(max_cycles=20_000)
+        return _signature(system), [system]
+
+    signature, systems = _spin_off_and_on(monkeypatch, run)
+    assert _spun(systems) > 0
+    assert signature["stats"]["core.squashed"] > 0
+    assert systems[0].scheduler.context_switches > 4
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 997, None], ids=str)
+def test_until_chunks_end_inside_spins(monkeypatch, chunk):
+    # Between chunks (or System.step calls, chunk None) a reader sees the
+    # registers, retired count and pc that ticking would have left, also
+    # while the core sleeps in a spin.
+    source = _countdown(1200, 1)
+
+    def run():
+        system = System(make_config())
+        system.add_process(assemble(source))
+        seen = []
+        while not system.finished:
+            if chunk is None:
+                assert system.cycle < 10_000, "exceeded max_cycles=10000"
+                system.step()
+            else:
+                system.advance(until=system.cycle + chunk, max_cycles=10_000)
+            context = system.core.context
+            if context is not None:
+                registers = context.registers
+                seen.append(
+                    (
+                        system.cycle,
+                        context.pc,
+                        context.retired_instructions,
+                        registers.read("l5"),
+                        registers.read("l6"),
+                    )
+                )
+        signature = _signature(system)
+        signature["chunks"] = seen
+        return signature, [system]
+
+    _, systems = _spin_off_and_on(monkeypatch, run)
+    assert _spun(systems) > 1000
+
+
+def test_sampled_run_with_spins(monkeypatch):
+    sampling = SamplingConfig(
+        enabled=True, ff_instructions=64, warmup_cycles=48, window_cycles=96
+    )
+
+    def run():
+        system = System(make_config(sampling=sampling))
+        system.add_process(assemble(_countdown(2000, 1)))
+        run_sampled(system, max_cycles=10_000)
+        signature = _signature(system)
+        signature["sampling"] = system.sampling_report.to_dict()
+        return signature, [system]
+
+    _, systems = _spin_off_and_on(monkeypatch, run)
+    assert _spun(systems) > 0
+
+
+def test_dcache_with_spins(monkeypatch):
+    config = SystemConfig(mem=MemoryConfig(enabled=True, mshrs=2))
+    source = _miss_heavy_loads(8).replace("halt", _countdown(200, 1))
+    _, systems = _spin_off_and_on(monkeypatch, _program_run(source, config))
+    assert _spun(systems) > 0
+
+
+@pytest.mark.parametrize("rob", [64, 63])
+@pytest.mark.parametrize("bystander", [False, True])
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("trips", [1, 2, 31, 32, 33, 64, 65, 256, 257])
+def test_countdown_exits_at_every_alignment(monkeypatch, trips, step, bystander, rob):
+    # Short and long trips, both body shapes and an odd ROB put the exit
+    # branch at each dispatch position of the last slept period.
+    core = CoreConfig(rob_entries=rob, int_units=4 if bystander else 2)
+    config = make_config(core=core)
+    run = _program_run(_countdown(trips, step, bystander), config, max_cycles=2_000)
+    _, systems = _spin_off_and_on(monkeypatch, run)
+    if trips > 255:  # shorter loops may exit while the ROB still fills
+        assert _spun(systems) > 0
+
+
+def test_period_two_steady_state_ticks_through(monkeypatch):
+    # With two-cycle integer latency the countdown's state repeats every
+    # other cycle: the period-1 probe fails and the core ticks through.
+    config = make_config(core=CoreConfig(int_latency=2))
+    run = _program_run(_countdown(300, 1), config, max_cycles=2_000)
+    _, systems = _spin_off_and_on(monkeypatch, run)
+    assert _spun(systems) == 0
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_random_spin_program_identical(monkeypatch, seed):
+    run = _program_run(generate_spin_program(seed), make_config(), max_cycles=10_000)
+    _, systems = _spin_off_and_on(monkeypatch, run)
+
+
+def test_unbounded_ba_spin_hits_max_cycles_identically(monkeypatch):
+    # A ``ba`` self-loop never exits: only max_cycles ends its sleep, and
+    # the error and the settled snapshot equal ticking through.
+    def run():
+        system = System(make_config())
+        system.add_process(assemble("loop: ba loop\nhalt"))
+        with pytest.raises(DeadlockError) as caught:
+            system.run(max_cycles=2_000)
+        error = caught.value
+        cores = [
+            (core["core"], core["pid"], core["rob"], core["memq"], core["head"])
+            for core in error.snapshot["cores"]
+        ]
+        signature = {
+            "error": (error.cycle, str(error)),
+            "cores": cores,
+            "csb": error.snapshot["csb_pending_bursts"],
+            "bus": error.snapshot["bus_in_flight"],
+            "run": _signature(system),
+        }
+        return signature, [system]
+
+    signature, systems = _spin_off_and_on(monkeypatch, run)
+    assert signature["error"][0] == 2_000
+    assert _spun(systems) > 1_900
+
+
+def test_trace_events_identical_with_spinning(monkeypatch):
+    # An EventBus observer leaves spin sleeping on: the core publishes
+    # nothing inside such a loop, so the --trace-events stream is the same.
+    workload = TraceWorkload(
+        name="spin",
+        source="synth:n=40,seed=3,gap=20,devices=4,skew=1.0,sizes=8:3/64:1",
+        discipline="csb",
+    )
+    job = TraceJob(SystemConfig(num_cores=2), workload, "cycles", name="spin")
+    sleeps = []
+    shipped = Core._try_spin
+
+    def counting(self, now, probe):
+        shipped(self, now, probe)
+        sleeps.append(self._spin is not None)
+
+    def events():
+        stream = io.StringIO()
+        runner = SweepRunner(
+            observer_factory=lambda job: [JsonlSink(stream, extra={"job": job.name})]
+        )
+        result = runner.run([job])
+        return stream.getvalue(), result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Core, "_spinning", _never_spinning)
+        ticked = events()
+    monkeypatch.setattr(Core, "_try_spin", counting)
+    spun = events()
+    assert spun == ticked
+    assert ticked[0].count("\n") > 100
+    assert any(sleeps)
