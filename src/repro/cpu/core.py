@@ -158,7 +158,7 @@ class Core:
         self._spin: Optional[Tuple[int, Dict[str, int]]] = None
         self._spin_at = 0
         self._spin_armed = False
-        self._spin_rob = 0  # ROB occupancy after the previous tick
+        self._spin_rob = 0  # ROB occupancy after the last gate check
         self._spin_retry = 0  # a failed spin probe backs off until here
         #: Host-side count of cycles this core slept through, jumped ones
         #: included (diagnostics; not a simulated statistic).
@@ -291,7 +291,7 @@ class Core:
         woke = False
         if self._sleep_until:
             if now < self._sleep_until and (
-                self._spin is not None or self._bus.accepted == self._sleep_bus_mark
+                self._bus.accepted == self._sleep_bus_mark or self._spin is not None
             ):
                 self.skip(1, now)
                 return
@@ -327,23 +327,26 @@ class Core:
             )
         # Only a wake or a tick that dispatched, issued and retired nothing
         # arms the quiet probe, so busy ticks pay one sum and one
-        # comparison; a busy tick that left the ROB as full as before
-        # checks whether it is spinning.
+        # comparison; a busy tick with the ROB head in a register-only
+        # loop checks whether it is spinning once the ROB is as full as
+        # after the last such tick.
         progress = self._seq + self._issued + self._retired
-        occupancy = len(self._rob)
+        rob = self._rob
         if progress != self._progress_mark:
             self._progress_mark = progress
             self._armed = woke
             if spin_probe is not None:
                 self._try_spin(now, spin_probe)
-            elif occupancy == self._spin_rob and now >= self._spin_retry:
-                self._spin_armed = self._spinning()
+            elif rob and rob[0].op.spin is not None:
+                occupancy = len(rob)
+                if occupancy == self._spin_rob and now >= self._spin_retry:
+                    self._spin_armed = self._spinning()
+                self._spin_rob = occupancy
         elif probe is not None:
             self._armed = False
             self._try_sleep(now, probe)
         else:
-            self._armed = bool(self._rob)
-        self._spin_rob = occupancy
+            self._armed = bool(rob)
 
     # -- quiet-tick sleeping ----------------------------------------------------------
 
@@ -961,6 +964,7 @@ class Core:
         ready_get = ready_map.get
         parked = self._parked
         kept: List[InFlight] = []
+        issued = 0
         for flight in queue:
             # Producers' ready cycles never move earlier once recorded, so a
             # failed dependency check yields a cycle before which re-checking
@@ -1018,9 +1022,11 @@ class Core:
                     woken.extend(waiters)
             if self.trace is not None:
                 self.trace.record(now, "issue", flight.seq, flight.pc, instr)
-            self._n_issued.value += 1
-            self._issued += 1
+            issued += 1
         self._issueq = kept
+        if issued:
+            self._n_issued.value += issued
+            self._issued += issued
 
     def _record_ready(self, flight: InFlight, cycle: int) -> None:
         """Record the cycle ``flight``'s result is available to dependents,
