@@ -148,10 +148,9 @@ class Core:
         self._sleep_mshr_stalls = 0
         self._progress_mark = 0
         self._armed = False
-        # This core's own issues and retirements, the sleep trigger's
-        # progress: the stats counters are shared by every core.
+        # This core's own issues, part of the sleep trigger's progress:
+        # the stats counters are shared by every core.
         self._issued = 0
-        self._retired = 0
         # Spin sleeping (see _try_spin): while asleep in a register-only
         # loop, ``_spin`` is one period's (seq shift, register addends) and
         # the pipeline holds the state after the tick of ``_spin_at``.
@@ -299,15 +298,13 @@ class Core:
             # changed for this core (another initiator's transaction), and
             # otherwise the stall usually resumes right after this tick.
             # A spin sleep's pipeline first catches up with the last cycle.
-            self._settle(now - 1)
-            self._spin = None
+            if self._spin is not None:
+                self._settle(now - 1)
+                self._spin = None
             self._sleep_until = 0
             woke = self._armed = True
         probe = self._quiet_probe() if self._armed else None
-        spin_probe = None
-        if self._spin_armed:
-            self._spin_armed = False
-            spin_probe = self._spin_probe(now)
+        spin_probe = self._spin_probe(now) if self._spin_armed else None
         self.fus.new_cycle()
         self._retire(now)
         if self._interrupt_pending and self._try_squash():
@@ -329,9 +326,11 @@ class Core:
         # arms the quiet probe, so busy ticks pay one sum and one
         # comparison; a busy tick with the ROB head in a register-only
         # loop checks whether it is spinning once the ROB is as full as
-        # after the last such tick.
-        progress = self._seq + self._issued + self._retired
+        # after the last such tick.  Progress counts this core's own
+        # work: a dispatch adds one to ``_seq`` and the ROB, a retirement
+        # or squash takes from the ROB, an issue adds to ``_issued``.
         rob = self._rob
+        progress = 2 * self._seq - len(rob) + self._issued
         if progress != self._progress_mark:
             self._progress_mark = progress
             self._armed = woke
@@ -362,7 +361,6 @@ class Core:
         return (
             self._seq,
             self._issued,
-            self._retired,
             len(self._rob),
             len(self._issueq),
             self._last_progress,
@@ -528,6 +526,7 @@ class Core:
 
     def _spin_probe(self, now: int) -> tuple:
         """State, counters and ``_seq`` before a probed spinning tick."""
+        self._spin_armed = False
         return self._spin_state(now), self._counts(), self._seq
 
     def _try_spin(self, now: int, probe: tuple) -> None:
@@ -1461,7 +1460,6 @@ class Core:
         context.retired_instructions += 1
         self._last_progress = now
         self._n_retired.value += 1
-        self._retired += 1
 
     # -- precise interrupts ---------------------------------------------------------------
 
