@@ -23,7 +23,7 @@ Both entry points take **one** configuration argument: a full
 per-section overrides merged over the defaults::
 
     result = simulate({"mem": {"enabled": True, "mshrs": 8}}, kernel)
-    table = run_experiment("crossover", {"bus": {"cpu_ratio": 4}})
+    table = run_experiment("fig5a", {"bus": {"cpu_ratio": 4}})
 
 Observability plugs in through ``observers``::
 
@@ -224,10 +224,11 @@ def run_experiment(
     (which pins *every* section — it collapses a sweep's varying
     dimension, so overrides mappings are usually what you want), or
     None.  Overrides ride on the runner, so they reach sweep-style
-    experiments; single-run studies that ignore the runner are
-    unaffected.
+    experiments; a study that runs outside the runner cannot take them
+    and raises :class:`ConfigError` when given a config.
     """
     from repro.common.serialize import config_to_dict
+    from repro.evaluation.experiments import ignores_runner
     from repro.evaluation.experiments import run_experiment as _run
     from repro.evaluation.runner import default_runner
 
@@ -243,6 +244,11 @@ def run_experiment(
             )
         # Fail fast on unknown sections/fields before any simulation runs.
         apply_overrides(SystemConfig(), overrides)
+        if ignores_runner(experiment_id):
+            raise ConfigError(
+                f"{experiment_id} runs outside the sweep runner and "
+                "cannot take a config"
+            )
         if runner is None:
             runner = default_runner()
         runner.overrides = overrides

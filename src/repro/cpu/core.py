@@ -5,8 +5,9 @@ Model summary (paper §4.1):
 * Four-wide in-order dispatch into a unified dispatch queue / reorder buffer;
   four-wide in-order retirement.
 * Out-of-order issue to two integer and two FP units as operands become
-  ready; results feed dependents through producer sequence numbers (true
-  data dependencies only — renaming removes false dependencies).
+  ready; results feed dependents through references to their producers'
+  in-flight records (true data dependencies only — renaming removes false
+  dependencies).
 * A separate memory queue performs address calculation speculatively and
   executes cached loads out of order (with exact disambiguation against
   older stores and store-to-load forwarding).
@@ -109,11 +110,11 @@ class Core:
         #: separate from the ROB turns the issue stage from an O(ROB) scan
         #: per cycle into a walk of only the not-yet-issued candidates.
         self._issueq: List[InFlight] = []
-        #: Issue-queue entries parked until a producer gets a ready cycle,
-        #: keyed by that producer's seq; the site recording the cycle moves
-        #: them to ``_woken``, which the next issue scan merges back in
-        #: program order.  A parked entry is not rescanned every cycle.
-        self._parked: Dict[int, List[InFlight]] = {}
+        #: Issue-queue entries a producer woke: an entry parks on its
+        #: producer's ``waiters`` until that producer gets a ready cycle;
+        #: the site recording the cycle moves them here, and the next issue
+        #: scan merges them back in program order.  A parked entry is not
+        #: rescanned every cycle.
         self._woken: List[InFlight] = []
         # Hot counters, resolved once: the pipeline loops bump these every
         # cycle and the lazy name lookup in StatsCollector.bump is measurable.
@@ -121,18 +122,13 @@ class Core:
         self._n_issued = stats.counter("core.issued")
         self._n_retired = stats.counter("core.retired")
         self._n_branches = stats.counter("core.branches")
-        self._spec_map: Dict[str, int] = {}
-        self._values: Dict[int, int] = {}
-        self._ready: Dict[int, int] = {}
+        #: register -> its newest in-flight producer's record
+        self._spec_map: Dict[str, InFlight] = {}
         self._seq = 0
         self._spec_pc = 0
         self._fetch_stopped = False
         self._drain_requested = False
         self._interrupt_pending = False
-        # Undo log for dispatch-time functional writes of unretired cached
-        # stores/swaps: (seq, address, previous bytes).  Replayed newest
-        # first on a precise-interrupt squash.
-        self._undo: List[Tuple[int, int, bytes]] = []
         # Load-linked link register: the linked line address, or None.
         self._link: Optional[int] = None
         self._last_progress = 0
@@ -183,15 +179,11 @@ class Core:
         self._drain_requested = False
         self._interrupt_pending = False
         self._spec_map.clear()
-        self._values.clear()
-        self._ready.clear()
         self._memq.clear()
         self._memq_wait.clear()
         self._memq_access.clear()
         self._issueq.clear()
-        self._parked.clear()
         self._woken.clear()
-        self._undo.clear()
         self._link = None  # a context switch breaks any load link
         self._last_progress = self.now
         self.wake()
@@ -352,11 +344,12 @@ class Core:
     def _pipeline_state(self) -> tuple:
         """Everything a tick can change besides stall counters.
 
-        Dispatch, issue and retirement move the first three fields; every
-        other transition (cache access, store commit readiness, uncached
-        issue, atomics at the head) is a memory-queue entry changing state.
-        Parking and merging woken entries move the issue-queue length, and
-        a producer that wakes parked entries changes one of the above.
+        Dispatch, issue and retirement move the first three fields (and
+        with them every undo record); every other transition (cache
+        access, store commit readiness, uncached issue, atomics at the
+        head) is a memory-queue entry changing state.  Parking and merging
+        woken entries move the issue-queue length, and a producer that
+        wakes parked entries changes one of the above.
         """
         return (
             self._seq,
@@ -368,7 +361,6 @@ class Core:
             self._drain_requested,
             self._fetch_stopped,
             self._link,
-            len(self._undo),
             [
                 (f.mem_state, f.ready_at, f.value_known, f.cache_issued)
                 for f in self._memq
@@ -465,15 +457,12 @@ class Core:
 
         ``InFlight.dispatch_cycle`` is left out (only dispatch reads it, of
         the entry it builds), and a ``stall_until`` hint that has passed
-        reads as 0.  The loop reads no other register, the memory queue
-        and undo log are empty and no flag stops dispatch (see
-        :meth:`_spinning`).
+        reads as 0.  The loop reads no other register, the memory queue is
+        empty and no flag stops dispatch (see :meth:`_spinning`).
         """
         assert self.context is not None
         seq = self._seq
         committed = self.context.registers.raw_values
-        values = self._values
-        ready = self._ready
         entries = []
         for flight in self._rob:
             value = flight.value
@@ -481,13 +470,13 @@ class Core:
             if value is not None and writes is not None:
                 value = (value - committed[writes]) & MASK64
             deps = []
-            for reg, producer in flight.dep_seqs.items():
-                known = values.get(producer)
-                at = ready.get(producer)
+            for reg, producer in flight.deps.items():
+                known = producer.value
+                at = producer.ready_at
                 deps.append(
                     (
                         reg,
-                        producer - seq,
+                        producer.seq - seq,
                         None if known is None else (known - committed[reg]) & MASK64,
                         None if at is None else at - cycle,
                     )
@@ -508,17 +497,14 @@ class Core:
                         for reg, known in flight.src_vals.items()
                     ],
                     deps,
+                    [waiter.seq - seq for waiter in flight.waiters or ()],
                 )
             )
         return (
             entries,
             [flight.seq - seq for flight in self._issueq],
-            {
-                producer - seq: [flight.seq - seq for flight in waiters]
-                for producer, waiters in self._parked.items()
-            },
             [flight.seq - seq for flight in self._woken],
-            {reg: producer - seq for reg, producer in self._spec_map.items()},
+            {reg: producer.seq - seq for reg, producer in self._spec_map.items()},
             self._spec_pc,
             self.context.pc,
             self._last_progress - cycle,
@@ -573,10 +559,12 @@ class Core:
             return _NEVER
         assert self.context is not None
         producer = self._spec_map.get(cond)
-        if producer is None:
-            value = self.context.registers.raw_values[cond]
-        else:
-            value = self._values[producer]  # known at dispatch in such a loop
+        value = (
+            self.context.registers.raw_values[cond]
+            if producer is None
+            else producer.value  # known at dispatch in such a loop
+        )
+        assert value is not None
         # The m-th branch dispatched from here sees first + (m - 1) * step:
         # solve j * step == -first (mod 2**64) for the smallest j >= 0.
         first = (value + loop.to_branch[self._spec_pc - loop.head]) & MASK64
@@ -594,12 +582,13 @@ class Core:
         """Shift a spin sleep's pipeline by the periods from ``_spin_at``
         to ``last``: what ticking them would have left.
 
-        Every in-flight entry moves: its seq, producers, ready and stall
-        cycles, value and source values; so do the ``_values``/``_ready``
-        entries in-flight entries read, ``_spec_map``, the parked keys,
-        ``_seq``, the watchdog's ``_last_progress``, the committed loop
-        registers and ``retired_instructions``.  ``context.pc`` repeats
-        every period.
+        Every in-flight record moves its source values and stall cycle;
+        it and every retired producer one still reads move their seq,
+        value and ready cycle, each once.  So do ``_seq``, the watchdog's
+        ``_last_progress``, the committed loop registers and
+        ``retired_instructions``.  Producer references, waiters and
+        ``_spec_map`` point at records and need no change;
+        ``context.pc`` repeats every period.
         """
         spin = self._spin
         if spin is None or last <= self._spin_at:
@@ -610,53 +599,23 @@ class Core:
         self.spun_ticks += periods
         seqs = spin[0] * periods
         addends = {reg: (step * periods) & MASK64 for reg, step in spin[1].items()}
-        # The value and ready entries in-flight entries read, keyed by the
-        # register each value belongs to.
-        owners: Dict[int, Optional[str]] = {}
+        records = set(self._rob)
         for flight in self._rob:
-            owners[flight.seq] = flight.op.writes
-            for reg, producer in flight.dep_seqs.items():
-                owners[producer] = reg
-        values = self._values
-        ready = self._ready
-        moved_values: Dict[int, int] = {}
-        moved_ready: Dict[int, int] = {}
-        for seq, reg in owners.items():
-            value = values.pop(seq, None)
-            if value is not None:
-                if reg is not None:
-                    value = (value + addends[reg]) & MASK64
-                moved_values[seq + seqs] = value
-            cycle = ready.pop(seq, None)
-            if cycle is not None:
-                moved_ready[seq + seqs] = cycle + periods
-        values.update(moved_values)
-        ready.update(moved_ready)
-        for flight in self._rob:
-            flight.seq += seqs
-            if flight.dep_seqs:
-                flight.dep_seqs = {
-                    reg: producer + seqs for reg, producer in flight.dep_seqs.items()
-                }
-                flight.dep_list = tuple(flight.dep_seqs.values())
+            records.update(flight.dep_list)
             if flight.src_vals:
                 flight.src_vals = {
                     reg: (value + addends[reg]) & MASK64
                     for reg, value in flight.src_vals.items()
                 }
+            if flight.stall_until:
+                flight.stall_until += periods
+        for flight in records:
+            flight.seq += seqs
             writes = flight.op.writes
             if flight.value is not None and writes is not None:
                 flight.value = (flight.value + addends[writes]) & MASK64
             if flight.ready_at is not None:
                 flight.ready_at += periods
-            if flight.stall_until:
-                flight.stall_until += periods
-        self._spec_map = {
-            reg: producer + seqs for reg, producer in self._spec_map.items()
-        }
-        self._parked = {
-            producer + seqs: waiters for producer, waiters in self._parked.items()
-        }
         self._seq += seqs
         self._last_progress += periods
         registers = self.context.registers.raw_values
@@ -741,7 +700,6 @@ class Core:
         memq_entries = config.memq_entries
         ops = self._ops
         spec_map = self._spec_map
-        values = self._values
         registers = self.context.registers.raw_values
         trace = self.trace
         budget = config.dispatch_width
@@ -758,22 +716,23 @@ class Core:
                 self.stats.bump("core.memq_full_stalls")
                 return
             # Source operands: known values into src_vals, in-flight
-            # producers into dep_seqs.  A branch condition or memory
-            # operand whose value is not yet known stalls the frontend.
+            # producers into deps.  A branch condition or memory operand
+            # whose value is not yet known stalls the frontend.
             src_vals: Dict[str, int] = {}
-            dep_seqs: Dict[str, int] = {}
+            deps: Dict[str, InFlight] = {}
             for reg in op.sources:
                 producer = spec_map.get(reg)
                 if producer is None:
                     src_vals[reg] = registers[reg]  # r0 reads as 0
                     continue
-                dep_seqs[reg] = producer
-                if producer in values:
-                    src_vals[reg] = values[producer]
+                deps[reg] = producer
+                value = producer.value
+                if value is not None:
+                    src_vals[reg] = value
                 elif op.needs_values:
                     self.stats.bump("core.frontend_value_stalls")
                     return
-            flight = InFlight(self._next_seq(), op, pc, now, src_vals, dep_seqs)
+            flight = InFlight(self._next_seq(), op, pc, now, src_vals, deps)
             self._apply_dispatch_effects(flight)
             if trace is not None:
                 trace.record(now, "dispatch", flight.seq, pc, op.instr)
@@ -804,25 +763,25 @@ class Core:
         if op.route == ROUTE_MEMQ:
             self._prepare_memop(flight)
         elif op.computes:
-            if flight.operands_known(self._values):
+            if flight.operands_known():
                 self._compute_value(flight)
         elif op.route == ROUTE_UNTIMED:
             # No result, no functional unit: timing-ready immediately.
             self._record_ready(flight, flight.dispatch_cycle)
         if op.writes is not None:
-            self._spec_map[op.writes] = flight.seq
+            self._spec_map[op.writes] = flight
 
     def _resolve_branch(self, flight: InFlight) -> None:
         instr: Any = flight.instr  # a BranchInstruction (decoded kind)
         if instr.op in ("brz", "brnz"):
             taken = semantics.branch_taken(
-                instr.op, reg_value=flight.operand(instr.rs1, self._values)
+                instr.op, reg_value=flight.operand(instr.rs1)
             )
         elif instr.op == "ba":
             taken = True
         else:
             taken = semantics.branch_taken(
-                instr.op, cc=flight.operand("icc", self._values)
+                instr.op, cc=flight.operand("icc")
             )
         flight.taken = taken
         if taken:
@@ -841,10 +800,10 @@ class Core:
         """Compute the address, classify by page attribute, and apply
         functional effects for cached operations."""
         instr: Any = flight.instr  # the class the decoded kind names
-        base = flight.operand(instr.base, self._values)
+        base = flight.operand(instr.base)
         offset = instr.offset
         if isinstance(offset, str):
-            offset_value = flight.operand(offset, self._values)
+            offset_value = flight.operand(offset)
         else:
             offset_value = offset
         address = (base + offset_value) & MASK64
@@ -857,9 +816,9 @@ class Core:
         flight.attr = self.tlb.attribute_of(address)
         kind = flight.op.kind
         if kind == "swap":
-            flight.swap_expected = flight.operand(instr.rd, self._values)
+            flight.swap_expected = flight.operand(instr.rd)
             if flight.attr is PageAttr.CACHED:
-                self._log_undo(flight.seq, address, 8)
+                self._log_undo(flight, address, 8)
                 old = self.hierarchy.read(address, 8)
                 self.hierarchy.write(address, flight.swap_expected, 8)
                 self._set_value(flight, old, ready=None)
@@ -879,8 +838,8 @@ class Core:
                 )
             line = address - (address % self.hierarchy.config.line_size)
             if self._link == line:
-                flight.store_data = flight.operand(instr.rs, self._values)
-                self._log_undo(flight.seq, address, 8)
+                flight.store_data = flight.operand(instr.rs)
+                self._log_undo(flight, address, 8)
                 self.hierarchy.write(address, flight.store_data, 8)
                 self._set_value(flight, 1, ready=None)
             else:
@@ -897,12 +856,12 @@ class Core:
                 )
             packed = 0
             for reg in BLOCK_STORE_REGS:
-                packed = (packed << 64) | flight.operand(reg, self._values)
+                packed = (packed << 64) | flight.operand(reg)
             flight.store_data = packed
         elif kind == "store":
-            flight.store_data = flight.operand(instr.rs, self._values)
+            flight.store_data = flight.operand(instr.rs)
             if flight.attr is PageAttr.CACHED:
-                self._log_undo(flight.seq, address, size)
+                self._log_undo(flight, address, size)
                 self.hierarchy.write(address, flight.store_data, size)
                 self._clear_link_if_written(address)
 
@@ -914,18 +873,18 @@ class Core:
             value = instr.value & MASK64
         elif kind == "cmp":
             op2 = (
-                flight.operand(instr.operand2, self._values)
+                flight.operand(instr.operand2)
                 if isinstance(instr.operand2, str)
                 else instr.operand2
             )
-            value = semantics.compare(flight.operand(instr.rs1, self._values), op2)
+            value = semantics.compare(flight.operand(instr.rs1), op2)
         elif kind == "alu":
             op2 = (
-                flight.operand(instr.operand2, self._values)
+                flight.operand(instr.operand2)
                 if isinstance(instr.operand2, str)
                 else instr.operand2
             )
-            rs1 = flight.operand(instr.rs1, self._values)
+            rs1 = flight.operand(instr.rs1)
             if instr.fu == FU_FP:
                 value = semantics.fp_alu(instr.op, rs1, op2)
             else:
@@ -939,7 +898,6 @@ class Core:
     ) -> None:
         flight.value = value
         flight.value_known = True
-        self._values[flight.seq] = value
         if ready is not None:
             self._record_ready(flight, ready)
 
@@ -959,9 +917,6 @@ class Core:
             woken.clear()
         if not queue:
             return
-        ready_map = self._ready
-        ready_get = ready_map.get
-        parked = self._parked
         kept: List[InFlight] = []
         issued = 0
         for flight in queue:
@@ -974,7 +929,7 @@ class Core:
             wait = 0
             unknown = None
             for producer in flight.dep_list:
-                cycle = ready_get(producer)
+                cycle = producer.ready_at
                 if cycle is None:
                     unknown = producer
                     break
@@ -984,9 +939,9 @@ class Core:
                 # The producer's timing is still unknown: park the entry
                 # until the site that records the producer's ready cycle
                 # wakes it (see _record_ready).
-                waiters = parked.get(unknown)
+                waiters = unknown.waiters
                 if waiters is None:
-                    parked[unknown] = [flight]
+                    unknown.waiters = [flight]
                 else:
                     waiters.append(flight)
                 self.parked_entries += 1
@@ -1007,18 +962,16 @@ class Core:
             if instr.is_branch and not self.config.perfect_branch_prediction:
                 latency += self.config.branch_mispredict_penalty
             if not flight.value_known and flight.op.dest is not None:
-                if not flight.operands_known(self._values):
+                if not flight.operands_known():
                     raise SimulationError(
                         f"issued {instr!r} with unknown operand values"
                     )
                 self._compute_value(flight)
-            ready = now + latency
-            flight.ready_at = ready
-            ready_map[flight.seq] = ready
-            if parked:  # _record_ready, inlined for the issue loop
-                waiters = parked.pop(flight.seq, None)
-                if waiters is not None:
-                    woken.extend(waiters)
+            flight.ready_at = now + latency
+            waiters = flight.waiters  # _record_ready, inlined for the issue loop
+            if waiters is not None:
+                flight.waiters = None
+                woken.extend(waiters)
             if self.trace is not None:
                 self.trace.record(now, "issue", flight.seq, flight.pc, instr)
             issued += 1
@@ -1031,11 +984,10 @@ class Core:
         """Record the cycle ``flight``'s result is available to dependents,
         and wake the issue-queue entries parked on it."""
         flight.ready_at = cycle
-        self._ready[flight.seq] = cycle
-        if self._parked:
-            waiters = self._parked.pop(flight.seq, None)
-            if waiters is not None:
-                self._woken.extend(waiters)
+        waiters = flight.waiters
+        if waiters is not None:
+            flight.waiters = None
+            self._woken.extend(waiters)
 
     # -- memory queue -----------------------------------------------------------------
 
@@ -1068,42 +1020,45 @@ class Core:
         left WAITING."""
         if flight.op.kind == "store":
             # Stores are ready to commit once operands are timing-ready.
-            if not flight.timing_ready(self._ready, now):
+            if not flight.timing_ready(now):
                 return False
             self._mem_done(flight, now)
             return True
         # Cached load.
-        if not flight.timing_ready(self._ready, now):
+        if not flight.timing_ready(now):
             return False
         forward_from = self._forwarding_store(flight)
         if forward_from is not None:
-            if not forward_from.timing_ready(self._ready, now):
+            if not forward_from.timing_ready(now):
                 return False
             self._mem_done(flight, now + 1)
             return True
         if self._older_store_blocks(flight):
             return False
         assert flight.address is not None
-        if self.dcache is not None:
-            # Non-blocking cache: a primary miss allocates an MSHR and
-            # the load sleeps until the refill's precomputed arrival; a
-            # capacity stall (all MSHRs busy) retries next cycle before
-            # consuming a cache port.
-            if not self.dcache.can_accept(flight.address, now):
-                return False
-            if not self.fus.acquire("cache"):
-                return False
-            ready = self.dcache.access(flight.address, False, now)
-        else:
-            if not self.fus.acquire("cache"):
-                return False
-            latency = self.hierarchy.access_latency(flight.address, is_write=False)
-            ready = now + latency
+        ready = self._cache_access(flight.address, False, now)
+        if ready is None:
+            return False
         self._start_access(flight, ready)
         if self.trace is not None:
             self.trace.record(now, "cache", flight.seq, flight.pc, flight.instr)
         self.stats.bump("core.cached_loads")
         return True
+
+    def _cache_access(self, address: int, is_write: bool, now: int) -> Optional[int]:
+        """Take a cache port and start an access: the cycle it completes,
+        or None when no port is free.  With the non-blocking D-cache a
+        primary miss allocates an MSHR and completes at the refill's
+        precomputed arrival; a capacity stall (all MSHRs busy) retries
+        next cycle before consuming a port."""
+        dcache = self.dcache
+        if dcache is not None and not dcache.can_accept(address, now):
+            return None
+        if not self.fus.acquire("cache"):
+            return None
+        if dcache is not None:
+            return dcache.access(address, is_write, now)
+        return now + self.hierarchy.access_latency(address, is_write=is_write)
 
     def _start_access(self, flight: InFlight, ready: int) -> None:
         """A cache access begins; it completes at ``ready``."""
@@ -1245,11 +1200,9 @@ class Core:
         """
         assert head.address is not None
         if not head.cache_issued:
-            if not self.dcache.can_accept(head.address, now):
+            ready = self._cache_access(head.address, True, now)
+            if ready is None:
                 return False
-            if not self.fus.acquire("cache"):
-                return False
-            ready = self.dcache.access(head.address, True, now)
             head.cache_issued = True
             self._record_ready(head, ready)
             self.stats.bump("core.cached_stores")
@@ -1260,20 +1213,12 @@ class Core:
 
     def _retire_cached_swap(self, head: InFlight, now: int) -> bool:
         if head.mem_state is MemState.WAITING:
-            if not head.timing_ready(self._ready, now):
+            if not head.timing_ready(now):
                 return False
             assert head.address is not None
-            if self.dcache is not None:
-                if not self.dcache.can_accept(head.address, now):
-                    return False
-                if not self.fus.acquire("cache"):
-                    return False
-                ready = self.dcache.access(head.address, True, now)
-            else:
-                if not self.fus.acquire("cache"):
-                    return False
-                latency = self.hierarchy.access_latency(head.address, is_write=True)
-                ready = now + latency
+            ready = self._cache_access(head.address, True, now)
+            if ready is None:
+                return False
             self._start_access(head, ready)
             self.stats.bump("core.cached_swaps")
             if self.events is not None:
@@ -1302,7 +1247,7 @@ class Core:
         predicts for this mechanism.
         """
         if head.mem_state is MemState.WAITING:
-            if not head.timing_ready(self._ready, now):
+            if not head.timing_ready(now):
                 return False
             assert head.value is not None
             if head.value == 0:
@@ -1312,17 +1257,9 @@ class Core:
                 self.stats.bump("core.sc_failures")
                 return True
             assert head.address is not None
-            if self.dcache is not None:
-                if not self.dcache.can_accept(head.address, now):
-                    return False
-                if not self.fus.acquire("cache"):
-                    return False
-                ready = self.dcache.access(head.address, True, now)
-            else:
-                if not self.fus.acquire("cache"):
-                    return False
-                latency = self.hierarchy.access_latency(head.address, is_write=True)
-                ready = now + latency
+            ready = self._cache_access(head.address, True, now)
+            if ready is None:
+                return False
             self._start_access(head, ready)
             return False
         if head.mem_state is MemState.ACCESSING:
@@ -1371,7 +1308,7 @@ class Core:
         instr: Any = head.instr  # the class the decoded kind names
         kind = head.op.kind
         if head.mem_state is MemState.WAITING:
-            if not head.timing_ready(self._ready, now):
+            if not head.timing_ready(now):
                 return False
             if not self.fus.acquire("uncached"):
                 return False
@@ -1445,12 +1382,15 @@ class Core:
             writes = op.writes
             if writes is not None:
                 context.registers.raw_values[writes] = head.value & MASK64
-                if self._spec_map.get(writes) == head.seq:
+                if self._spec_map.get(writes) is head:
                     del self._spec_map[writes]
         if op.route == ROUTE_MEMQ:
             self._memq.remove(head)
-        if self._undo and any(entry[0] == head.seq for entry in self._undo):
-            self._undo = [entry for entry in self._undo if entry[0] != head.seq]
+        if head.dep_list:
+            # Dependents still read this record; it no longer reads its
+            # producers, so a dependence chain is not kept alive.
+            head.deps = {}
+            head.dep_list = ()
         if op.is_branch and head.taken:
             target = op.target
             assert target is not None
@@ -1463,9 +1403,8 @@ class Core:
 
     # -- precise interrupts ---------------------------------------------------------------
 
-    def _log_undo(self, seq: int, address: int, size: int) -> None:
-        old = self.hierarchy.backing.read_bytes(address, size)
-        self._undo.append((seq, address, old))
+    def _log_undo(self, flight: InFlight, address: int, size: int) -> None:
+        flight.undo = (address, self.hierarchy.backing.read_bytes(address, size))
 
     def _try_squash(self) -> bool:
         """Complete a pending interrupt by squashing unretired work.
@@ -1482,8 +1421,9 @@ class Core:
             # Resume at the oldest unretired instruction; undo the
             # dispatch-time functional writes of everything squashed.
             self.context.pc = self._rob[0].pc
-            for _, address, old in reversed(self._undo):
-                self.hierarchy.backing.write_bytes(address, old)
+            for flight in reversed(self._rob):
+                if flight.undo is not None:
+                    self.hierarchy.backing.write_bytes(*flight.undo)
             if self.trace is not None:
                 for flight in self._rob:
                     self.trace.record(
@@ -1499,12 +1439,8 @@ class Core:
         self._memq_wait.clear()
         self._memq_access.clear()
         self._issueq.clear()
-        self._parked.clear()
         self._woken.clear()
         self._spec_map.clear()
-        self._values.clear()
-        self._ready.clear()
-        self._undo.clear()
         self._link = None
         self._interrupt_pending = False
         self._last_progress = self.now
@@ -1515,9 +1451,3 @@ class Core:
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
-
-    def rob_occupancy(self) -> int:
-        return len(self._rob)
-
-    def pending_description(self) -> List[Tuple[int, str]]:
-        return [flight.describe() for flight in self._rob]

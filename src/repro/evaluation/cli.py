@@ -263,7 +263,10 @@ def _resolve_table(
     experiment_id: str, runner: SweepRunner, outside: List[str]
 ) -> Table:
     """Run one experiment through the runner, with a whole-table cache in
-    front for the studies that cannot be decomposed into SimJobs.  In
+    front for the studies that cannot be decomposed into SimJobs.  A
+    sweep's points resolve through the runner's per-job cache, which keys
+    each by its config content; a whole-table entry, keyed by id and
+    SIM_VERSION alone, would outlive a change to the sweep's points.  In
     observed mode (tracing/metrics) the table cache is bypassed so every
     job actually simulates.
 
@@ -286,7 +289,7 @@ def _resolve_table(
                 f"note: {experiment_id} runs outside the sweep runner and "
                 f"ignores {' and '.join(ignored)}"
             )
-    cache = None if runner.observed else runner.cache
+    cache = None if runner.observed or not outsider else runner.cache
     key = experiment_key(experiment_id, variant=_table_variant(runner))
     if cache is not None:
         cached = cache.get_table(key)

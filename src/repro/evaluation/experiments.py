@@ -159,5 +159,5 @@ def ignores_runner(experiment_id: str) -> bool:
     """True for the studies that run their own simulations outside the
     sweep runner, so its tier, sampling and config overrides never reach
     them (pingpong, the loaded bus, crossover, blockstore, fault-sweep,
-    smp-contention, sync-mechanisms)."""
-    return getattr(EXPERIMENTS[experiment_id], "ignores_runner", False)
+    smp-contention, sync-mechanisms); False for an unknown id."""
+    return getattr(EXPERIMENTS.get(experiment_id), "ignores_runner", False)

@@ -1,10 +1,11 @@
 """Corner paths of the core: disambiguation, stalls, degenerate configs."""
 
+import gc
 from dataclasses import replace
-
 
 from repro import System, assemble
 from repro.common.config import CoreConfig
+from repro.cpu.inflight import InFlight
 from repro.memory.layout import IO_UNCACHED_BASE
 from tests.conftest import make_config
 
@@ -127,3 +128,31 @@ class TestMisprediction_Knob:
             ),
         )
         assert slow_system.span("a", "b") > fast
+
+
+def _live_records():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is InFlight)
+
+
+class TestRecordLifetime:
+    def test_retired_records_release_their_producers(self):
+        # Every add reads the previous iteration's add and sub.  A retired
+        # record that kept its producer references would keep the whole
+        # chain of retired records alive; only the ROB entries and the
+        # producers they read may stay live.
+        source = (
+            "set 200000, %o1\n"
+            "set 0, %o2\n"
+            "loop: add %o2, %o1, %o2\n"
+            "sub %o1, 1, %o1\n"
+            "brnz %o1, loop\n"
+            "halt"
+        )
+        before = _live_records()
+        system = System(make_config())
+        system.add_process(assemble(source))
+        system.run_cycles(20_000)
+        assert system.stats.get("core.retired") > 20_000
+        live = _live_records() - before
+        assert live <= 2 * system.config.core.rob_entries, live

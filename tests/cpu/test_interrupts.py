@@ -1,44 +1,87 @@
 """Precise interrupts: squash, undo, exactly-once for uncached work."""
 
+import pytest
+
 from repro import System, assemble
 from repro.memory.layout import IO_COMBINING_BASE, IO_UNCACHED_BASE
 from tests.conftest import make_config
 
 ADDR = 0x4000
 
+#: Two cached stores behind a multiply, so they are in flight a while.
+STORES = (
+    "set 1, %o1\n"
+    "mulx %o1, %o1, %o1\n"    # pad so the store is in flight
+    f"set {ADDR}, %o2\n"
+    "set 7, %l0\n"
+    "stx %l0, [%o2]\n"
+    "set 9, %l1\n"
+    f"stx %l1, [{ADDR + 8}]\n"
+    "halt"
+)
 
-def interrupt_after(source, cycles, registers=()):
-    """Run ``cycles``, deliver an interrupt, squash, then resume and finish."""
+#: A cached swap behind the same multiply.
+SWAP = (
+    "set 1, %o1\n"
+    "mulx %o1, %o1, %o1\n"
+    f"set {ADDR}, %o2\n"
+    "set 7, %l0\n"
+    "swap [%o2], %l0\n"
+    "halt"
+)
+
+
+def squash_after(source, cycles, registers=(), memory=()):
+    """Preset registers and memory words, run ``cycles``, deliver an
+    interrupt and let the squash complete; the system and process as the
+    squash left them."""
     system = System(make_config())
     process = system.add_process(assemble(source))
     for name, value in registers:
         process.set_register(name, value)
+    for address, value in memory:
+        system.backing.write_int(address, value, 8)
     system.run_cycles(cycles)
     system.core.interrupt()
-    # Let the squash complete, then keep running to completion.
     while not system.core.drained:
         system.step()
+    return system, process
+
+
+def interrupt_after(source, cycles, registers=()):
+    """Run ``cycles``, deliver an interrupt, squash, then resume and finish."""
+    system, process = squash_after(source, cycles, registers)
     # Simulate the OS returning to the same process.
     system.core.install_context(process)
     system.run()
     return system
 
 
+def _words(system, *addresses):
+    return tuple(system.backing.read_int(address, 8) for address in addresses)
+
+
 class TestSquashCorrectness:
     def test_cached_stores_undone_and_replayed(self):
-        source = (
-            "set 1, %o1\n"
-            "mulx %o1, %o1, %o1\n"    # pad so the store is in flight
-            f"set {ADDR}, %o2\n"
-            "set 7, %l0\n"
-            "stx %l0, [%o2]\n"
-            "set 9, %l1\n"
-            f"stx %l1, [{ADDR + 8}]\n"
-            "halt"
-        )
-        system = interrupt_after(source, cycles=3)
+        system = interrupt_after(STORES, cycles=3)
         assert system.backing.read_int(ADDR, 8) == 7
         assert system.backing.read_int(ADDR + 8, 8) == 9
+
+    @pytest.mark.parametrize("cycles, left", [(3, (5, 0)), (5, (7, 0))])
+    def test_squash_restores_what_unretired_stores_overwrote(self, cycles, left):
+        # Both stores write memory at dispatch.  The squash puts back the
+        # bytes each unretired one overwrote; by cycle 5 the first store
+        # has retired, so its 7 stays.
+        system, _ = squash_after(STORES, cycles, memory=[(ADDR, 5)])
+        assert _words(system, ADDR, ADDR + 8) == left
+
+    def test_cached_swap_undone_and_replayed(self):
+        system, process = squash_after(SWAP, 3, memory=[(ADDR, 5)])
+        assert _words(system, ADDR) == (5,)
+        system.core.install_context(process)
+        system.run()
+        assert _words(system, ADDR) == (7,)
+        assert process.registers.read("l0") == 5
 
     def test_loop_counter_correct_after_interrupt(self):
         source = (

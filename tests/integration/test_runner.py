@@ -199,6 +199,25 @@ class TestExperimentTableCache:
         assert restored.to_csv() == table.to_csv()
         assert restored.to_markdown() == table.to_markdown()
 
+    def test_sweep_tables_never_read_the_table_cache(self, tmp_path):
+        # A sweep's table key carries no config content, so an entry
+        # stored under it would outlive a change to the sweep's points.
+        from repro.common.tables import Table
+        from repro.evaluation.cli import _resolve_table, _table_variant
+        from repro.evaluation.runner import experiment_key
+
+        cache = ResultCache(str(tmp_path))
+        runner = SweepRunner(jobs=1, cache=cache)
+        bogus = Table(["stale"])
+        bogus.add_row(1)
+        key = experiment_key("fig5a", variant=_table_variant(runner))
+        cache.put_table(key, bogus, name="fig5a")
+        for _ in range(2):  # cold per-job cache, then warm
+            table = _resolve_table("fig5a", runner, [])
+            assert table.columns != bogus.columns
+        assert runner.simulated > 0 and runner.cache_hits == runner.simulated
+        assert cache.get_table(key).columns == bogus.columns  # left alone
+
     def test_corrupt_table_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         with open(os.path.join(str(tmp_path), "k.json"), "w") as handle:

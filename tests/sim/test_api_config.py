@@ -112,6 +112,19 @@ class TestRunExperimentConfig:
         with pytest.raises(ConfigError):
             run_experiment("fig5a", {"mem": {"bogus": 1}})
 
+    @pytest.mark.parametrize(
+        "config", [{"bus": {"cpu_ratio": 4}}, SystemConfig()]
+    )
+    def test_study_outside_the_runner_rejects_a_config(self, config):
+        # crossover runs its own simulations; a config it would silently
+        # drop is an error that names the study.
+        with pytest.raises(ConfigError, match="crossover"):
+            run_experiment("crossover", config)
+
+    def test_unknown_id_with_a_config_names_the_id(self):
+        with pytest.raises(ConfigError, match="fig7x"):
+            run_experiment("fig7x", {"bus": {"cpu_ratio": 4}})
+
 
 class TestFieldAssignmentParsing:
     def test_coercion_by_field_type(self):

@@ -110,8 +110,6 @@ def scanning_issue(self, now: int) -> None:
     queue = self._issueq
     if not queue:
         return
-    ready_map = self._ready
-    ready_get = ready_map.get
     kept: List[InFlight] = []
     for flight in queue:
         # Producers' ready cycles never move earlier once recorded, so a
@@ -123,7 +121,7 @@ def scanning_issue(self, now: int) -> None:
         wait = 0
         blocked = False
         for producer in flight.dep_list:
-            cycle = ready_get(producer)
+            cycle = producer.ready_at
             if cycle is None:
                 blocked = True
                 wait = 0
@@ -148,14 +146,13 @@ def scanning_issue(self, now: int) -> None:
         if instr.is_branch and not self.config.perfect_branch_prediction:
             latency += self.config.branch_mispredict_penalty
         if not flight.value_known and instr.destination() is not None:
-            if not flight.operands_known(self._values):
+            if not flight.operands_known():
                 raise SimulationError(
                     f"issued {instr!r} with unknown operand values"
                 )
             self._compute_value(flight)
         ready = now + latency
         flight.ready_at = ready
-        ready_map[flight.seq] = ready
         if self.trace is not None:
             self.trace.record(now, "issue", flight.seq, flight.pc, instr)
         self._n_issued.value += 1
@@ -178,15 +175,15 @@ def scanning_memq(self, now: int) -> None:
             continue  # atomics execute at the head of the ROB
         if isinstance(instr, StoreInstruction):
             # Stores are ready to commit once operands are timing-ready.
-            if flight.timing_ready(self._ready, now):
+            if flight.timing_ready(now):
                 self._mem_done(flight, now)
             continue
         # Cached load.
-        if not flight.timing_ready(self._ready, now):
+        if not flight.timing_ready(now):
             continue
         forward_from = self._forwarding_store(flight)
         if forward_from is not None:
-            if forward_from.timing_ready(self._ready, now):
+            if forward_from.timing_ready(now):
                 self._mem_done(flight, now + 1)
             continue
         if self._older_store_blocks(flight):
@@ -908,7 +905,8 @@ def test_quantum_preemption_inside_spins(monkeypatch):
 def test_until_chunks_end_inside_spins(monkeypatch, chunk):
     # Between chunks (or System.step calls, chunk None) a reader sees the
     # registers, retired count and pc that ticking would have left, also
-    # while the core sleeps in a spin.
+    # while the core sleeps in a spin; so does the pipeline, down to the
+    # retired producers in-flight records still read.
     source = _countdown(1200, 1)
 
     def run():
@@ -924,6 +922,12 @@ def test_until_chunks_end_inside_spins(monkeypatch, chunk):
             context = system.core.context
             if context is not None:
                 registers = context.registers
+                # The pipeline too, at every 32nd reading: a long read.
+                pipeline = (
+                    system.core._spin_state(system.cycle)
+                    if len(seen) % 32 == 0
+                    else None
+                )
                 seen.append(
                     (
                         system.cycle,
@@ -931,6 +935,7 @@ def test_until_chunks_end_inside_spins(monkeypatch, chunk):
                         context.retired_instructions,
                         registers.read("l5"),
                         registers.read("l6"),
+                        pipeline,
                     )
                 )
         signature = _signature(system)
