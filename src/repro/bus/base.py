@@ -111,6 +111,12 @@ class SystemBus(abc.ABC):
         #: acceptance is the only way a bus cycle changes what the core
         #: polls (uncached buffer, CSB line buffers, barrier_clear).
         self.accepted = 0
+        self._transactions = stats.handle("bus.transactions")
+        self._bytes_wire = stats.handle("bus.bytes_wire")
+        self._bursts = stats.handle("bus.bursts")
+        self._nacks = stats.handle("faults.bus_nack")
+        self._stalls = stats.handle("faults.bus_stall")
+        self._device_timeouts = stats.handle("faults.device_timeout")
 
     # -- concrete buses implement the cost model -----------------------------
 
@@ -150,7 +156,7 @@ class SystemBus(abc.ABC):
             # the initiator's existing retry machinery re-presents it on a
             # later bus cycle.  Nothing else about the bus state changes.
             if self.faults.bus_nack():
-                self.stats.bump("faults.bus_nack")
+                self._nacks.bump()
                 self._publish_fault("bus_nack", txn.address)
                 return False
             # A slow-target stall stretches this transaction's wait phase;
@@ -158,7 +164,7 @@ class SystemBus(abc.ABC):
             # end-cycle cost and the cycle breakdown.
             txn.fault_stall = self.faults.bus_stall()
             if txn.fault_stall:
-                self.stats.bump("faults.bus_stall")
+                self._stalls.bump()
                 self._publish_fault(
                     "bus_stall", txn.address, cycles=txn.fault_stall
                 )
@@ -181,7 +187,7 @@ class SystemBus(abc.ABC):
                 delay = self.faults.device_timeout()
                 if delay:
                     self._next_start_allowed += delay
-                    self.stats.bump("faults.device_timeout")
+                    self._device_timeouts.bump()
                     note = getattr(device, "note_ack_delay", None)
                     if note is not None:
                         note(delay)
@@ -190,10 +196,10 @@ class SystemBus(abc.ABC):
                     )
         heapq.heappush(self._pending, (end, self.accepted, txn))
         self.accepted += 1
-        self.stats.bump("bus.transactions")
-        self.stats.bump("bus.bytes_wire", txn.size)
+        self._transactions.bump()
+        self._bytes_wire.bump(txn.size)
         if txn.is_burst:
-            self.stats.bump("bus.bursts")
+            self._bursts.bump()
         self.stats.record_transaction(
             TransactionRecord(
                 start_cycle=start,

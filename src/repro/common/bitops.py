@@ -77,7 +77,8 @@ def decompose_aligned(
     remaining = length
     while remaining > 0:
         size = max_size
-        while size > 1 and (not is_aligned(cursor, size) or size > remaining):
+        # size stays a power of two, so cursor & (size - 1) is is_aligned.
+        while size > 1 and (cursor & (size - 1) or size > remaining):
             size //= 2
         pieces.append((cursor, size))
         cursor += size

@@ -92,6 +92,29 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
+class CounterHandle:
+    """One counter of a collector, minted on its first bump.
+
+    A hot path keeps a handle per name instead of calling
+    :meth:`StatsCollector.bump`, which looks the counter up by name on
+    every event.  A handle that is never bumped mints nothing, so the
+    collector's keys and creation order are the ones ``bump`` would give.
+    """
+
+    __slots__ = ("_stats", "name", "_counter")
+
+    def __init__(self, stats: "StatsCollector", name: str) -> None:
+        self._stats = stats
+        self.name = name
+        self._counter: Optional[Counter] = None
+
+    def bump(self, amount: int = 1) -> None:
+        counter = self._counter
+        if counter is None:
+            counter = self._counter = self._stats.counter(self.name)
+        counter.value += amount
+
+
 @dataclass
 class BandwidthWindow:
     """Tracks the bus-cycle window covering a stream of transactions.
@@ -371,6 +394,11 @@ class StatsCollector:
 
     def bump(self, name: str, amount: int = 1) -> None:
         self.counter(name).add(amount)
+
+    def handle(self, name: str) -> CounterHandle:
+        """A :class:`CounterHandle` for ``name``: it mints the counter on
+        its first bump, as :meth:`bump` would."""
+        return CounterHandle(self, name)
 
     def live_counters(self) -> Iterable[Counter]:
         """Every counter minted so far, in creation order: the live

@@ -42,9 +42,7 @@ from repro.cpu.context import ProcessContext
 from repro.cpu.decode import (
     DecodedOp,
     ROUTE_ISSUE,
-    ROUTE_ISSUED,
     ROUTE_MEMQ,
-    ROUTE_UNTIMED,
     SpinLoop,
     decode_program,
 )
@@ -96,6 +94,8 @@ class Core:
         self.stats = stats
         self.fus = FunctionalUnitPool(config)
         self.context: Optional[ProcessContext] = None
+        #: the installed context's register values (``raw_values``)
+        self._registers: Dict[str, int] = {}
         self._rob: Deque[InFlight] = deque()
         #: every dispatched memory operation, in program order: store
         #: disambiguation, the sleep probe and snapshots read all of it
@@ -122,6 +122,17 @@ class Core:
         self._n_issued = stats.counter("core.issued")
         self._n_retired = stats.counter("core.retired")
         self._n_branches = stats.counter("core.branches")
+        # Per-event counters, each minted on its first bump.
+        self._rob_full_stalls = stats.handle("core.rob_full_stalls")
+        self._memq_full_stalls = stats.handle("core.memq_full_stalls")
+        self._frontend_value_stalls = stats.handle("core.frontend_value_stalls")
+        self._cached_loads = stats.handle("core.cached_loads")
+        self._cached_stores = stats.handle("core.cached_stores")
+        self._cached_swaps = stats.handle("core.cached_swaps")
+        self._sc_failures = stats.handle("core.sc_failures")
+        self._uncached_stores = stats.handle("core.uncached_stores")
+        self._uncached_store_stalls = stats.handle("core.uncached_store_stalls")
+        self._squashed = stats.handle("core.squashed")
         #: register -> its newest in-flight producer's record
         self._spec_map: Dict[str, InFlight] = {}
         self._seq = 0
@@ -173,6 +184,7 @@ class Core:
         if self._rob:
             raise SimulationError("cannot switch context with instructions in flight")
         self.context = context
+        self._registers = context.registers.raw_values
         self._ops = decode_program(context.program)
         self._spec_pc = context.pc
         self._fetch_stopped = context.halted
@@ -372,18 +384,26 @@ class Core:
         mshr_stalls = self.dcache.mshr_stall_cycles if self.dcache else 0
         return self._pipeline_state(), self._counts(), mshr_stalls
 
-    def _counts(self) -> Dict[Counter, int]:
-        return {counter: counter.value for counter in self.stats.live_counters()}
+    def _counts(self) -> List[int]:
+        """Every counter's value, in the collector's creation order."""
+        return [counter.value for counter in self.stats.live_counters()]
 
-    def _ledger(self, before: Dict[Counter, int]) -> List[Tuple[Counter, int]]:
+    def _ledger(self, before: List[int]) -> List[Tuple[Counter, int]]:
         """What one slept cycle re-applies: each counter's increment since
         ``before`` was taken, at the start of the probed tick (later
-        counts would include other cores' increments)."""
-        return [
-            (counter, counter.value - before.get(counter, 0))
-            for counter in self.stats.live_counters()
-            if counter.value != before.get(counter, 0)
+        counts would include other cores' increments).  Counters are
+        never removed, so ``before`` lines up with the oldest ones; a
+        counter minted since started at 0."""
+        live = list(self.stats.live_counters())
+        ledger = [
+            (counter, counter.value - value)
+            for counter, value in zip(live, before)
+            if counter.value != value
         ]
+        ledger += [
+            (counter, counter.value) for counter in live[len(before):] if counter.value
+        ]
+        return ledger
 
     def _try_sleep(self, now: int, probe: tuple) -> None:
         """Fall asleep after a probed tick that turned out quiet."""
@@ -700,26 +720,28 @@ class Core:
         memq_entries = config.memq_entries
         ops = self._ops
         spec_map = self._spec_map
-        registers = self.context.registers.raw_values
+        registers = self._registers
         trace = self.trace
         budget = config.dispatch_width
+        dispatched = 0
         while budget > 0:
             if len(rob) >= rob_entries:
-                self.stats.bump("core.rob_full_stalls")
-                return
+                self._rob_full_stalls.bump()
+                break
             pc = self._spec_pc
             if pc >= len(ops):
                 raise SimulationError(f"fetch ran past the program end at pc={pc}")
             op = ops[pc]
             route = op.route
             if route == ROUTE_MEMQ and len(memq) >= memq_entries:
-                self.stats.bump("core.memq_full_stalls")
-                return
+                self._memq_full_stalls.bump()
+                break
             # Source operands: known values into src_vals, in-flight
             # producers into deps.  A branch condition or memory operand
             # whose value is not yet known stalls the frontend.
             src_vals: Dict[str, int] = {}
             deps: Dict[str, InFlight] = {}
+            stalled = False
             for reg in op.sources:
                 producer = spec_map.get(reg)
                 if producer is None:
@@ -730,14 +752,20 @@ class Core:
                 if value is not None:
                     src_vals[reg] = value
                 elif op.needs_values:
-                    self.stats.bump("core.frontend_value_stalls")
-                    return
-            flight = InFlight(self._next_seq(), op, pc, now, src_vals, deps)
-            self._apply_dispatch_effects(flight)
+                    stalled = True
+                    break
+            if stalled:
+                self._frontend_value_stalls.bump()
+                break
+            self._seq += 1
+            flight = InFlight(self._seq, op, pc, now, src_vals, deps)
+            self._spec_pc = pc + 1  # a taken branch's effect redirects it
+            op.dispatch(self, flight)
+            writes = op.writes
+            if writes is not None:
+                spec_map[writes] = flight
             if trace is not None:
                 trace.record(now, "dispatch", flight.seq, pc, op.instr)
-            if not op.is_branch:
-                self._spec_pc = pc + 1
             rob.append(flight)
             if route == ROUTE_MEMQ:
                 memq.append(flight)
@@ -745,68 +773,73 @@ class Core:
                     self._memq_wait.append(flight)
             elif route == ROUTE_ISSUE:
                 self._issueq.append(flight)
-            elif route == ROUTE_ISSUED:
-                flight.issued = True  # nothing to issue (no FU class)
             if op.is_halt:
                 self._fetch_stopped = True
-                return
+                break
             if not op.is_mark:
                 budget -= 1
-            self._n_dispatched.value += 1
+            dispatched += 1
+        if dispatched:
+            self._n_dispatched.value += dispatched
 
-    def _apply_dispatch_effects(self, flight: InFlight) -> None:
-        """Functional-first execution at dispatch, where possible."""
-        op = flight.op
-        if op.is_branch:
-            self._resolve_branch(flight)
-            return
-        if op.route == ROUTE_MEMQ:
-            self._prepare_memop(flight)
-        elif op.computes:
-            if flight.operands_known():
-                self._compute_value(flight)
-        elif op.route == ROUTE_UNTIMED:
-            # No result, no functional unit: timing-ready immediately.
-            self._record_ready(flight, flight.dispatch_cycle)
-        if op.writes is not None:
-            self._spec_map[op.writes] = flight
+    # Dispatch effects: functional-first execution, where possible.  Each
+    # decode record carries the one its kind, route and opcode name
+    # (repro.cpu.decode._handlers).  A branch or memory operation
+    # dispatches only once every operand value is known, so its effect
+    # reads them all from ``src_vals``.
 
-    def _resolve_branch(self, flight: InFlight) -> None:
-        instr: Any = flight.instr  # a BranchInstruction (decoded kind)
-        if instr.op in ("brz", "brnz"):
-            taken = semantics.branch_taken(
-                instr.op, reg_value=flight.operand(instr.rs1)
-            )
-        elif instr.op == "ba":
-            taken = True
-        else:
-            taken = semantics.branch_taken(
-                instr.op, cc=flight.operand("icc")
-            )
+    def _dispatch_nothing(self, flight: InFlight) -> None:
+        """A nop: it only occupies a functional unit."""
+
+    def _dispatch_issued(self, flight: InFlight) -> None:
+        """No functional-unit class: nothing to issue."""
+        flight.issued = True
+
+    def _dispatch_untimed(self, flight: InFlight) -> None:
+        """A mark, halt or membar: no result and no unit, so it is
+        timing-ready at once."""
+        self._record_ready(flight, flight.dispatch_cycle)
+
+    def _dispatch_compute(self, flight: InFlight) -> None:
+        """``set``, ``cmp``, ``alu``: the result now when every operand is
+        known, else at issue."""
+        if flight.operands_known():
+            self._compute_value(flight)
+
+    def _dispatch_ba(self, flight: InFlight) -> None:
+        self._steer(flight, True)
+
+    def _dispatch_brz(self, flight: InFlight) -> None:
+        rs1 = flight.instr.rs1  # type: ignore[attr-defined]
+        self._steer(flight, (flight.src_vals[rs1] & MASK64) == 0)
+
+    def _dispatch_brnz(self, flight: InFlight) -> None:
+        rs1 = flight.instr.rs1  # type: ignore[attr-defined]
+        self._steer(flight, (flight.src_vals[rs1] & MASK64) != 0)
+
+    def _dispatch_icc_branch(self, flight: InFlight) -> None:
+        op = flight.instr.op  # type: ignore[attr-defined]
+        self._steer(flight, semantics.branch_taken(op, cc=flight.src_vals["icc"]))
+
+    def _steer(self, flight: InFlight, taken: bool) -> None:
+        """Resolve a branch at dispatch: a taken one redirects fetch.  (With
+        imperfect prediction the redirect penalty is charged at issue.)"""
         flight.taken = taken
         if taken:
             target = flight.op.target
             assert target is not None
             self._spec_pc = target
-        else:
-            self._spec_pc = flight.pc + 1
-        if not self.config.perfect_branch_prediction:
-            # Sensitivity knob: charge a flat redirect penalty per taken
-            # branch by delaying the branch's readiness.
-            flight.ready_at = None
         self._n_branches.value += 1
 
-    def _prepare_memop(self, flight: InFlight) -> None:
-        """Compute the address, classify by page attribute, and apply
-        functional effects for cached operations."""
-        instr: Any = flight.instr  # the class the decoded kind names
-        base = flight.operand(instr.base)
+    def _address(self, flight: InFlight) -> int:
+        """Set and return a memory operation's address, and its page
+        attribute."""
+        instr: Any = flight.instr  # a memory instruction (decoded route)
+        src_vals = flight.src_vals
         offset = instr.offset
         if isinstance(offset, str):
-            offset_value = flight.operand(offset)
-        else:
-            offset_value = offset
-        address = (base + offset_value) & MASK64
+            offset = src_vals[offset]
+        address = (src_vals[instr.base] + offset) & MASK64
         size = instr.size
         if address % size:
             raise SimulationError(
@@ -814,84 +847,86 @@ class Core:
             )
         flight.address = address
         flight.attr = self.tlb.attribute_of(address)
-        kind = flight.op.kind
-        if kind == "swap":
-            flight.swap_expected = flight.operand(instr.rd)
-            if flight.attr is PageAttr.CACHED:
-                self._log_undo(flight, address, 8)
-                old = self.hierarchy.read(address, 8)
-                self.hierarchy.write(address, flight.swap_expected, 8)
-                self._set_value(flight, old, ready=None)
-                self._clear_link_if_written(address)
-            # Uncached swap results resolve through the uncached unit.
-        elif kind == "ll":
-            if flight.attr is not PageAttr.CACHED:
-                raise SimulationError(
-                    f"load-linked requires cached space, not {address:#x}"
-                )
-            self._set_value(flight, self.hierarchy.read(address, 8), ready=None)
-            self._link = address - (address % self.hierarchy.config.line_size)
-        elif kind == "sc":
-            if flight.attr is not PageAttr.CACHED:
-                raise SimulationError(
-                    f"store-conditional requires cached space, not {address:#x}"
-                )
-            line = address - (address % self.hierarchy.config.line_size)
-            if self._link == line:
-                flight.store_data = flight.operand(instr.rs)
-                self._log_undo(flight, address, 8)
-                self.hierarchy.write(address, flight.store_data, 8)
-                self._set_value(flight, 1, ready=None)
-            else:
-                self._set_value(flight, 0, ready=None)
-            self._link = None  # an SC always consumes the link
-        elif kind == "load":
-            if flight.attr is PageAttr.CACHED:
-                self._set_value(flight, self.hierarchy.read(address, size), ready=None)
-        elif kind == "blockstore":
-            if flight.attr is PageAttr.CACHED:
-                raise SimulationError(
-                    "block stores bypass the cache hierarchy; target "
-                    f"uncached space, not {address:#x}"
-                )
-            packed = 0
-            for reg in BLOCK_STORE_REGS:
-                packed = (packed << 64) | flight.operand(reg)
-            flight.store_data = packed
-        elif kind == "store":
-            flight.store_data = flight.operand(instr.rs)
-            if flight.attr is PageAttr.CACHED:
-                self._log_undo(flight, address, size)
-                self.hierarchy.write(address, flight.store_data, size)
-                self._clear_link_if_written(address)
+        return address
+
+    def _dispatch_store(self, flight: InFlight) -> None:
+        """A cached store writes memory now, keeping the bytes it
+        overwrote; an uncached one carries its data to the ROB head."""
+        address = self._address(flight)
+        instr: Any = flight.instr
+        data = flight.store_data = flight.src_vals[instr.rs]
+        if flight.attr is PageAttr.CACHED:
+            self._log_undo(flight, address, instr.size)
+            self.hierarchy.write(address, data, instr.size)
+            self._clear_link_if_written(address)
+
+    def _dispatch_blockstore(self, flight: InFlight) -> None:
+        address = self._address(flight)
+        if flight.attr is PageAttr.CACHED:
+            raise SimulationError(
+                "block stores bypass the cache hierarchy; target "
+                f"uncached space, not {address:#x}"
+            )
+        src_vals = flight.src_vals
+        packed = 0
+        for reg in BLOCK_STORE_REGS:
+            packed = (packed << 64) | src_vals[reg]
+        flight.store_data = packed
+
+    def _dispatch_load(self, flight: InFlight) -> None:
+        """A cached load reads its value now; an uncached one resolves
+        through the uncached unit."""
+        address = self._address(flight)
+        if flight.attr is PageAttr.CACHED:
+            size = flight.instr.size  # type: ignore[attr-defined]
+            self._set_value(flight, self.hierarchy.read(address, size), ready=None)
+
+    def _dispatch_ll(self, flight: InFlight) -> None:
+        address = self._address(flight)
+        if flight.attr is not PageAttr.CACHED:
+            raise SimulationError(
+                f"load-linked requires cached space, not {address:#x}"
+            )
+        self._set_value(flight, self.hierarchy.read(address, 8), ready=None)
+        self._link = address - (address % self.hierarchy.config.line_size)
+
+    def _dispatch_sc(self, flight: InFlight) -> None:
+        address = self._address(flight)
+        if flight.attr is not PageAttr.CACHED:
+            raise SimulationError(
+                f"store-conditional requires cached space, not {address:#x}"
+            )
+        line = address - (address % self.hierarchy.config.line_size)
+        if self._link == line:
+            data = flight.src_vals[flight.instr.rs]  # type: ignore[attr-defined]
+            flight.store_data = data
+            self._log_undo(flight, address, 8)
+            self.hierarchy.write(address, data, 8)
+            self._set_value(flight, 1, ready=None)
+        else:
+            self._set_value(flight, 0, ready=None)
+        self._link = None  # an SC always consumes the link
+
+    def _dispatch_swap(self, flight: InFlight) -> None:
+        """A cached swap exchanges now; an uncached one (the CSB's
+        conditional flush, or a device exchange) resolves through the
+        uncached unit."""
+        address = self._address(flight)
+        expected = flight.src_vals[flight.instr.rd]  # type: ignore[attr-defined]
+        flight.swap_expected = expected
+        if flight.attr is PageAttr.CACHED:
+            self._log_undo(flight, address, 8)
+            old = self.hierarchy.read(address, 8)
+            self.hierarchy.write(address, expected, 8)
+            self._set_value(flight, old, ready=None)
+            self._clear_link_if_written(address)
 
     def _compute_value(self, flight: InFlight) -> None:
-        """Functional execution of ALU-class instructions."""
-        instr: Any = flight.instr  # the class the decoded kind names
-        kind = flight.op.kind
-        if kind == "set":
-            value = instr.value & MASK64
-        elif kind == "cmp":
-            op2 = (
-                flight.operand(instr.operand2)
-                if isinstance(instr.operand2, str)
-                else instr.operand2
-            )
-            value = semantics.compare(flight.operand(instr.rs1), op2)
-        elif kind == "alu":
-            op2 = (
-                flight.operand(instr.operand2)
-                if isinstance(instr.operand2, str)
-                else instr.operand2
-            )
-            rs1 = flight.operand(instr.rs1)
-            if instr.fu == FU_FP:
-                value = semantics.fp_alu(instr.op, rs1, op2)
-            else:
-                value = semantics.alu(instr.op, rs1, op2)
-        else:
-            raise SimulationError(f"cannot compute value for {instr!r}")
-        self._set_value(flight, value, ready=None)
+        """Functional execution of ``set``, ``cmp`` and ``alu`` (decode's
+        result closure)."""
+        compute = flight.op.compute
+        assert compute is not None
+        self._set_value(flight, compute(flight), ready=None)
 
     def _set_value(
         self, flight: InFlight, value: int, ready: Optional[int]
@@ -1042,7 +1077,7 @@ class Core:
         self._start_access(flight, ready)
         if self.trace is not None:
             self.trace.record(now, "cache", flight.seq, flight.pc, flight.instr)
-        self.stats.bump("core.cached_loads")
+        self._cached_loads.bump()
         return True
 
     def _cache_access(self, address: int, is_write: bool, now: int) -> Optional[int]:
@@ -1130,64 +1165,83 @@ class Core:
 
     def _retire(self, now: int) -> None:
         assert self.context is not None
+        rob = self._rob
         budget = self.config.retire_width
-        while self._rob and budget > 0:
-            head = self._rob[0]
-            instr = head.instr
-            if instr.is_mark:
-                self.context.marks[instr.label] = now  # type: ignore[attr-defined]
-                self.stats.mark(instr.label, now)  # type: ignore[attr-defined]
-                self._commit(head, now)
-                continue  # marks are free
-            if instr.is_halt:
-                self.context.halted = True
-                self.context.pc = head.pc
-                self._commit(head, now)
+        while rob and budget > 0:
+            head = rob[0]
+            op = head.op
+            if not op.retire(self, head, now):
                 return
-            if instr.is_membar:
-                if not self.unit.barrier_clear():
-                    return
-                self._commit(head, now)
-                budget -= 1
-                continue
-            if instr.is_mem:
-                if not self._retire_memop(head, now):
-                    return
-                budget -= 1
-                continue
-            if head.ready_at is None or head.ready_at > now:
-                return
-            self._commit(head, now)
-            budget -= 1
+            if not op.is_mark:
+                budget -= 1  # marks are free
 
-    def _retire_memop(self, head: InFlight, now: int) -> bool:
-        """Handle a memory operation at the head of the ROB.  Returns True
-        when it retired this cycle."""
-        kind = head.op.kind
+    # Retire handlers: each decode record carries the one its kind and
+    # route name (repro.cpu.decode._handlers).  A handler returns True
+    # when the head retired and retirement may go on this cycle.
+
+    def _retire_plain(self, head: InFlight, now: int) -> bool:
+        """A computed result, a branch or a nop: retires once ready."""
+        ready = head.ready_at
+        if ready is None or ready > now:
+            return False
+        self._commit(head, now)
+        return True
+
+    def _retire_mark(self, head: InFlight, now: int) -> bool:
+        assert self.context is not None
+        label = head.instr.label  # type: ignore[attr-defined]
+        self.context.marks[label] = now
+        self.stats.mark(label, now)
+        self._commit(head, now)
+        return True
+
+    def _retire_halt(self, head: InFlight, now: int) -> bool:
+        assert self.context is not None
+        self.context.halted = True
+        self.context.pc = head.pc
+        self._commit(head, now)
+        return False
+
+    def _retire_membar(self, head: InFlight, now: int) -> bool:
+        if not self.unit.barrier_clear():
+            return False
+        self._commit(head, now)
+        return True
+
+    def _retire_store(self, head: InFlight, now: int) -> bool:
+        """A cached store commits once its operands were timing-ready (its
+        functional write happened at dispatch); an uncached one issues."""
+        if head.attr is not PageAttr.CACHED:
+            return self._retire_uncached_store(head, now)
+        if head.mem_state is not MemState.DONE:
+            return False
+        assert head.address is not None
+        if self.dcache is not None:
+            return self._retire_cached_store_dcache(head, now)
+        # The timing-plane cache access happens now.
+        self.hierarchy.access_latency(head.address, is_write=True)
+        self._commit(head, now)
+        return True
+
+    def _retire_load(self, head: InFlight, now: int) -> bool:
         if head.attr is PageAttr.CACHED:
-            if kind == "swap":
-                return self._retire_cached_swap(head, now)
-            if kind == "sc":
-                return self._retire_store_conditional(head, now)
-            if kind == "store":
-                if head.mem_state is not MemState.DONE:
-                    return False
-                assert head.address is not None
-                if self.dcache is not None:
-                    return self._retire_cached_store_dcache(head, now)
-                # Commit: the timing-plane cache access happens now; the
-                # functional write already happened at dispatch.
-                self.hierarchy.access_latency(head.address, is_write=True)
-                self._commit(head, now)
-                return True
-            # Cached load: retires once its access completed.
-            if head.mem_state is not MemState.DONE or (
-                head.ready_at is not None and head.ready_at > now
-            ):
-                return False
-            self._commit(head, now)
-            return True
-        return self._retire_uncached(head, now)
+            return self._retire_cached_load(head, now)
+        return self._retire_uncached_load(head, now)
+
+    def _retire_cached_load(self, head: InFlight, now: int) -> bool:
+        """A cached load or load-linked retires once its access completed."""
+        if head.mem_state is not MemState.DONE:
+            return False
+        ready = head.ready_at
+        if ready is not None and ready > now:
+            return False
+        self._commit(head, now)
+        return True
+
+    def _retire_swap(self, head: InFlight, now: int) -> bool:
+        if head.attr is PageAttr.CACHED:
+            return self._retire_cached_swap(head, now)
+        return self._retire_uncached_swap(head, now)
 
     def _retire_cached_store_dcache(self, head: InFlight, now: int) -> bool:
         """Commit a cached store through the non-blocking D-cache.
@@ -1205,7 +1259,7 @@ class Core:
                 return False
             head.cache_issued = True
             self._record_ready(head, ready)
-            self.stats.bump("core.cached_stores")
+            self._cached_stores.bump()
         if head.ready_at is not None and head.ready_at > now:
             return False
         self._commit(head, now)
@@ -1220,7 +1274,7 @@ class Core:
             if ready is None:
                 return False
             self._start_access(head, ready)
-            self.stats.bump("core.cached_swaps")
+            self._cached_swaps.bump()
             if self.events is not None:
                 from repro.observability.events import LockAcquire
 
@@ -1254,7 +1308,7 @@ class Core:
                 head.mem_state = MemState.DONE
                 self._record_ready(head, now)
                 self._commit(head, now)
-                self.stats.bump("core.sc_failures")
+                self._sc_failures.bump()
                 return True
             assert head.address is not None
             ready = self._cache_access(head.address, True, now)
@@ -1301,58 +1355,71 @@ class Core:
         if line == self._link:
             self._link = None
 
-    def _retire_uncached(self, head: InFlight, now: int) -> bool:
-        """Uncached operations issue here: in order, non-speculatively, one
-        per cycle through the uncached port."""
+    # Uncached operations issue at the head of the ROB: in order,
+    # non-speculatively, one per cycle through the uncached port.
+
+    def _retire_uncached_store(self, head: InFlight, now: int) -> bool:
+        """An uncached store or block store retires in the cycle the
+        uncached unit accepts it (it waits at the head until then)."""
+        if not head.timing_ready(now) or not self.fus.acquire("uncached"):
+            return False
         assert self.context is not None
-        instr: Any = head.instr  # the class the decoded kind names
-        kind = head.op.kind
+        assert head.address is not None and head.store_data is not None
+        instr = head.instr
+        if not self.unit.issue_store(
+            head.address,
+            instr.size,  # type: ignore[attr-defined]
+            head.store_data,
+            self.context.pid,
+        ):
+            self._uncached_store_stalls.bump()
+            return False
+        head.mem_state = MemState.DONE
+        if self.trace is not None:
+            self.trace.record(now, "uncached", head.seq, head.pc, instr)
+        self._commit(head, now)
+        self._uncached_stores.bump()
+        return True
+
+    def _retire_uncached_load(self, head: InFlight, now: int) -> bool:
         if head.mem_state is MemState.WAITING:
-            if not head.timing_ready(now):
-                return False
-            if not self.fus.acquire("uncached"):
-                return False
-            if kind == "swap":
-                assert head.address is not None and head.swap_expected is not None
-                accepted = self.unit.issue_swap(
+            assert head.address is not None
+            if (
+                head.timing_ready(now)
+                and self.fus.acquire("uncached")
+                and self.unit.issue_load(
+                    head.address,
+                    head.instr.size,  # type: ignore[attr-defined]
+                    self._uncached_resolver(head),
+                )
+            ):
+                head.mem_state = MemState.ISSUED_UNCACHED
+            return False
+        return self._retire_resolved(head, now)
+
+    def _retire_uncached_swap(self, head: InFlight, now: int) -> bool:
+        if head.mem_state is MemState.WAITING:
+            assert self.context is not None
+            assert head.address is not None and head.swap_expected is not None
+            if (
+                head.timing_ready(now)
+                and self.fus.acquire("uncached")
+                and self.unit.issue_swap(
                     head.address,
                     self.context.pid,
                     head.swap_expected,
                     self._uncached_resolver(head),
                 )
-                if accepted:
-                    head.mem_state = MemState.ISSUED_UNCACHED
-                return False
-            if kind == "store" or kind == "blockstore":
-                assert head.address is not None and head.store_data is not None
-                accepted = self.unit.issue_store(
-                    head.address,
-                    instr.size,
-                    head.store_data,
-                    self.context.pid,
-                )
-                if not accepted:
-                    self.stats.bump("core.uncached_store_stalls")
-                    return False
-                head.mem_state = MemState.DONE
-                if self.trace is not None:
-                    self.trace.record(now, "uncached", head.seq, head.pc, instr)
-                self._commit(head, now)
-                self.stats.bump("core.uncached_stores")
-                return True
-            # Uncached load.
-            assert head.address is not None
-            accepted = self.unit.issue_load(
-                head.address,
-                instr.size,
-                self._uncached_resolver(head),
-            )
-            if accepted:
+            ):
                 head.mem_state = MemState.ISSUED_UNCACHED
             return False
+        return self._retire_resolved(head, now)
+
+    def _retire_resolved(self, head: InFlight, now: int) -> bool:
+        """An uncached load or swap the unit took retires once its value
+        came back (DONE)."""
         if head.mem_state is MemState.ISSUED_UNCACHED:
-            return False  # waiting for the value to come back
-        # DONE: the value resolved; retire it.
+            return False
         self._commit(head, now)
         return True
 
@@ -1381,7 +1448,7 @@ class Core:
             assert head.value is not None
             writes = op.writes
             if writes is not None:
-                context.registers.raw_values[writes] = head.value & MASK64
+                self._registers[writes] = head.value & MASK64
                 if self._spec_map.get(writes) is head:
                     del self._spec_map[writes]
         if op.route == ROUTE_MEMQ:
@@ -1429,7 +1496,7 @@ class Core:
                     self.trace.record(
                         self.now, "squash", flight.seq, flight.pc, flight.instr
                     )
-            self.stats.bump("core.squashed", len(self._rob))
+            self._squashed.bump(len(self._rob))
             if self.events is not None:
                 from repro.observability.events import PipelineSquash
 
@@ -1445,9 +1512,3 @@ class Core:
         self._interrupt_pending = False
         self._last_progress = self.now
         return True
-
-    # -- misc --------------------------------------------------------------------------
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq

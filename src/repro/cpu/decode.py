@@ -7,22 +7,28 @@ for a branch, the resolved target.  :func:`decode_program` computes that
 once per :class:`~repro.isa.program.Program` (immutable once finalized),
 so the core reads :class:`DecodedOp` fields instead of calling
 ``sources()``, ``destination()``, ``isinstance`` chains and
-``Program.target_of`` for every dynamic instruction.  A record only
-restates the instruction's own API, plus one fact about its place in the
-program: the register-only countdown loop (:class:`SpinLoop`) it sits in,
-if any.
+``Program.target_of`` for every dynamic instruction.  A record restates
+the instruction's own API, plus one fact about its place in the program:
+the register-only countdown loop (:class:`SpinLoop`) it sits in, if any.
+
+A record also carries the work, in the fast-forward tier's idiom
+(:func:`repro.sim.fastforward.decode_program`): the core's dispatch effect
+and retire handler for its kind, route and opcode (:func:`_handlers`), and
+for ``set``, ``cmp`` and ``alu`` a closure computing the result from the
+operands.  The core calls them without testing the kind again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
-from weakref import WeakKeyDictionary
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.isa import semantics
 from repro.isa.instructions import (
     AluInstruction,
     BlockStoreInstruction,
     BranchInstruction,
     CompareInstruction,
+    FU_FP,
     FU_NONE,
     Instruction,
     LoadInstruction,
@@ -34,6 +40,9 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import Program, ProgramError
 from repro.isa.registers import MASK64, is_fp_register
+
+if TYPE_CHECKING:
+    from repro.cpu.inflight import InFlight
 
 #: Queue routes (``DecodedOp.route``): the memory queue; the issue queue;
 #: issued at dispatch (no functional-unit class); no queue at all (marks,
@@ -141,9 +150,11 @@ class DecodedOp:
         "is_mark",
         "is_halt",
         "needs_values",
-        "computes",
+        "compute",
         "atomic",
         "spin",
+        "dispatch",
+        "retire",
     )
 
     def __init__(
@@ -179,17 +190,83 @@ class DecodedOp:
         #: dispatch stalls until every source value is known (a branch
         #: condition or a memory operand)
         self.needs_values = instr.is_branch or memop
-        #: the result is computed from operand values (at dispatch when
-        #: they are known, else at issue)
-        self.computes = self.kind in ("set", "cmp", "alu")
+        #: ``set``, ``cmp`` and ``alu``: the result from operand values (at
+        #: dispatch when they are known, else at issue); None otherwise
+        self.compute: Optional[Callable[[InFlight], int]] = _computer(
+            instr, self.kind
+        )
         #: executes at the head of the ROB even on cached space
         self.atomic = self.kind in ("swap", "sc")
         #: the register-only countdown loop this pc sits in, if any
         self.spin = spin
+        #: the core's dispatch effect, ``(core, flight) -> None``, and
+        #: retire handler, ``(core, head, now) -> bool`` (see _handlers)
+        self.dispatch, self.retire = _handlers(self)
 
 
-#: Per-program tables, dropped with their program.
-_TABLES: "WeakKeyDictionary[Program, List[DecodedOp]]" = WeakKeyDictionary()
+def _computer(instr: Instruction, kind: str) -> Optional[Callable[[InFlight], int]]:
+    """The result closure of a ``set``, ``cmp`` or ``alu`` instruction,
+    over the same :mod:`repro.isa.semantics` helpers the fast-forward tier
+    binds; None for every other kind."""
+    if kind == "set":
+        value = instr.value & MASK64  # type: ignore[attr-defined]
+        return lambda flight: value
+    if kind not in ("cmp", "alu"):
+        return None
+    rs1: str = instr.rs1  # type: ignore[attr-defined]
+    op2 = instr.operand2  # type: ignore[attr-defined]
+    fn: Callable[[int, int], int]
+    if kind == "cmp":
+        fn = semantics.compare
+    elif instr.fu == FU_FP:
+        fn = semantics.FP_OPS[instr.op]  # type: ignore[attr-defined]
+    else:
+        fn = semantics.ALU_OPS[instr.op]  # type: ignore[attr-defined]
+    if isinstance(op2, str):
+        return lambda flight: fn(flight.operand(rs1), flight.operand(op2))
+    return lambda flight: fn(flight.operand(rs1), op2)
+
+
+def _handlers(record: DecodedOp) -> Tuple[Callable, Callable]:
+    """The core's dispatch effect and retire handler for ``record``, by
+    kind, route and opcode.  A memory operation's retire handler tests
+    the page attribute (known only at dispatch) where its kind may be
+    cached or uncached."""
+    from repro.cpu.core import Core  # the core imports this module
+
+    kind = record.kind
+    if kind == "branch":
+        op = record.instr.op  # type: ignore[attr-defined]
+        dispatch = {
+            "ba": Core._dispatch_ba,
+            "brz": Core._dispatch_brz,
+            "brnz": Core._dispatch_brnz,
+        }.get(op, Core._dispatch_icc_branch)
+        return dispatch, Core._retire_plain
+    if record.route == ROUTE_MEMQ:
+        return {
+            "store": (Core._dispatch_store, Core._retire_store),
+            "blockstore": (Core._dispatch_blockstore, Core._retire_uncached_store),
+            "load": (Core._dispatch_load, Core._retire_load),
+            "ll": (Core._dispatch_ll, Core._retire_cached_load),
+            "swap": (Core._dispatch_swap, Core._retire_swap),
+            "sc": (Core._dispatch_sc, Core._retire_store_conditional),
+        }[kind]
+    if record.route == ROUTE_UNTIMED:
+        instr = record.instr
+        if instr.is_mark:
+            retire = Core._retire_mark
+        elif instr.is_halt:
+            retire = Core._retire_halt
+        else:
+            retire = Core._retire_membar
+        return Core._dispatch_untimed, retire
+    if record.compute is not None:
+        return Core._dispatch_compute, Core._retire_plain
+    if record.route == ROUTE_ISSUED:
+        return Core._dispatch_issued, Core._retire_plain
+    return Core._dispatch_nothing, Core._retire_plain
+
 
 #: Records shared by every pc and program that repeat an instruction (and,
 #: for a branch, its target, and the loop it closes or sits in): programs
@@ -202,13 +279,13 @@ _RECORDS_LIMIT = 4096
 
 def decode_program(program: Program) -> List[DecodedOp]:
     """The per-pc table of a finalized ``program``, built on first use and
-    dropped with the program."""
-    table = _TABLES.get(program)
+    kept on the program (:attr:`Program.decoded`), so it goes with it."""
+    table = program.decoded
     if table is None:
         if not program.finalized:
             raise ProgramError("decode_program requires a finalized program")
         loops = _spin_loops(program)
-        table = [
+        table = program.decoded = [
             _record(
                 instr,
                 program.target_of(instr)
@@ -218,7 +295,6 @@ def decode_program(program: Program) -> List[DecodedOp]:
             )
             for pc, instr in enumerate(program)
         ]
-        _TABLES[program] = table
     return table
 
 

@@ -126,7 +126,10 @@ class InFlight:
         return value
 
     def operands_known(self) -> bool:
-        return all(producer.value_known for producer in self.dep_list)
+        for producer in self.dep_list:
+            if not producer.value_known:
+                return False
+        return True
 
     def describe(self) -> Tuple[int, str]:
         return (self.seq, type(self.instr).__name__)

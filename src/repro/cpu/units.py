@@ -16,7 +16,7 @@ from repro.isa.instructions import FU_FP, FU_INT
 
 
 class FunctionalUnitPool:
-    """Counts issue slots consumed in the current cycle."""
+    """Counts the issue slots left in the current cycle."""
 
     def __init__(self, config: CoreConfig, cache_ports: int = 2) -> None:
         self._limits: Dict[str, int] = {
@@ -25,24 +25,19 @@ class FunctionalUnitPool:
             "cache": cache_ports,
             "uncached": 1,
         }
-        self._used: Dict[str, int] = {key: 0 for key in self._limits}
+        self._free = dict(self._limits)
 
     def new_cycle(self) -> None:
-        for key in self._used:
-            self._used[key] = 0
-
-    def available(self, kind: str) -> bool:
-        try:
-            return self._used[kind] < self._limits[kind]
-        except KeyError:
-            raise SimulationError(f"unknown functional unit kind {kind!r}") from None
+        self._free = self._limits.copy()
 
     def acquire(self, kind: str) -> bool:
         """Take a slot if one is free this cycle."""
-        if not self.available(kind):
+        free = self._free
+        try:
+            left = free[kind]
+        except KeyError:
+            raise SimulationError(f"unknown functional unit kind {kind!r}") from None
+        if left <= 0:
             return False
-        self._used[kind] += 1
+        free[kind] = left - 1
         return True
-
-    def used(self, kind: str) -> int:
-        return self._used[kind]

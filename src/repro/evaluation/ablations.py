@@ -33,7 +33,6 @@ from repro.evaluation.runner import (
     SimJob,
     SweepRunner,
     default_runner,
-    execute_job,
 )
 from repro.workloads.spec import ProgramWorkload
 from repro.workloads.storebw import store_kernel_csb
@@ -54,10 +53,6 @@ def _csb_bandwidth_job(
         config=replace(config_for(panel, "csb"), csb=csb_config),
         measurement="store_bandwidth",
     )
-
-
-def _csb_bandwidth(panel: PanelSpec, csb_config: CSBConfig, size: int) -> float:
-    return execute_job(_csb_bandwidth_job(panel, csb_config, size))
 
 
 def line_buffer_table(

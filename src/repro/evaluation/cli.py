@@ -240,25 +240,6 @@ def _make_runner(
     )
 
 
-def _table_variant(runner: SweepRunner) -> str:
-    """Whole-table cache variant tag: the serialized sampling and config
-    overrides, so sampled/cached-memory tables never alias detailed
-    ones in the whole-table cache."""
-    import dataclasses
-
-    parts = []
-    if runner.sampling is not None:
-        parts.append(
-            "sampled:"
-            + json.dumps(dataclasses.asdict(runner.sampling), sort_keys=True)
-        )
-    if runner.overrides:
-        parts.append(
-            "overrides:" + json.dumps(runner.overrides, sort_keys=True)
-        )
-    return ";".join(parts)
-
-
 def _resolve_table(
     experiment_id: str, runner: SweepRunner, outside: List[str]
 ) -> Table:
@@ -266,9 +247,10 @@ def _resolve_table(
     front for the studies that cannot be decomposed into SimJobs.  A
     sweep's points resolve through the runner's per-job cache, which keys
     each by its config content; a whole-table entry, keyed by id and
-    SIM_VERSION alone, would outlive a change to the sweep's points.  In
-    observed mode (tracing/metrics) the table cache is bypassed so every
-    job actually simulates.
+    SIM_VERSION alone, would outlive a change to the sweep's points.  A
+    study outside the runner ignores its sampling and overrides, so one
+    entry serves it under every flag.  In observed mode (tracing/metrics)
+    the table cache is bypassed so every job actually simulates.
 
     A study that runs outside the runner gets a note through the
     runner's log when a flag it ignores was given, and its id joins
@@ -290,7 +272,7 @@ def _resolve_table(
                 f"ignores {' and '.join(ignored)}"
             )
     cache = None if runner.observed or not outsider else runner.cache
-    key = experiment_key(experiment_id, variant=_table_variant(runner))
+    key = experiment_key(experiment_id)
     if cache is not None:
         cached = cache.get_table(key)
         if cached is not None:

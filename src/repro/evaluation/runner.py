@@ -321,7 +321,7 @@ def job_key(job: Job) -> str:
     )
 
 
-def experiment_key(experiment_id: str, variant: str = "") -> str:
+def experiment_key(experiment_id: str) -> str:
     """Cache key for a whole experiment table.
 
     Some studies are not decomposable into independent :class:`SimJob`
@@ -329,17 +329,14 @@ def experiment_key(experiment_id: str, variant: str = "") -> str:
     so the CLI caches their finished tables instead.  The key carries no
     config content — only the :data:`SIM_VERSION` discipline protects
     these entries, which is the same contract the job-level cache states
-    for simulator changes.  ``variant`` distinguishes alternative
-    executions of the same experiment (the CLI passes the serialized
-    sampling override here, so sampled tables never alias detailed ones).
+    for simulator changes.  Such a study ignores the runner's sampling
+    and config overrides, so they are not part of the key either.
     """
     document = {
         "version": SIM_VERSION,
         "kind": "experiment-table",
         "experiment": experiment_id,
     }
-    if variant:
-        document["variant"] = variant
     return digest(document)
 
 
@@ -766,10 +763,6 @@ class SweepRunner:
     @property
     def cache_hits(self) -> int:
         return self.cache.hits if self.cache else 0
-
-    @property
-    def cache_misses(self) -> int:
-        return self.cache.misses if self.cache else 0
 
 
 def default_runner() -> SweepRunner:

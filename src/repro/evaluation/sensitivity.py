@@ -25,7 +25,6 @@ from repro.evaluation.runner import (
     SimJob,
     SweepRunner,
     default_runner,
-    execute_job,
 )
 from repro.workloads.spec import ProgramWorkload
 from repro.workloads.lockbench import (
@@ -58,12 +57,6 @@ def _access_job(
         span=(MARK_START, MARK_DONE),
     )
     return SimJob.from_workload(workload, config=config, measurement="span")
-
-
-def _access_cycles(
-    scheme: str, n_doublewords: int, core: CoreConfig, cpu_ratio: int
-) -> int:
-    return execute_job(_access_job(scheme, n_doublewords, core, cpu_ratio))
 
 
 def _width_config(width: int) -> CoreConfig:

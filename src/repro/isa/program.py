@@ -32,6 +32,10 @@ class Program:
         self._instructions: List[Instruction] = []
         self._labels: Dict[str, int] = {}
         self._finalized = False
+        #: The detailed core's per-pc decode table, built on first use by
+        #: :func:`repro.cpu.decode.decode_program` and dropped with the
+        #: program.
+        self.decoded: Optional[list] = None
 
     def add(self, instruction: Instruction) -> int:
         """Append an instruction; returns its index."""

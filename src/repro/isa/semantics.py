@@ -8,7 +8,6 @@ the kernels use).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict
 
 from repro.common.errors import SimulationError
@@ -34,67 +33,56 @@ def to_unsigned(value: int) -> int:
     return value & MASK64
 
 
+#: Integer ALU operations on unsigned 64-bit operands, by mnemonic: each
+#: result is that of the operands masked to 64 bits first.  The detailed
+#: core and the fast-forward decoder bind one of these callables per
+#: decoded instruction instead of branching on the mnemonic string every
+#: execution, and :func:`alu` dispatches through the same table, so the
+#: two tiers compute identical results by construction.
+ALU_OPS: Dict[str, Callable[[int, int], int]] = {
+    "add": lambda a, b: (a + b) & MASK64,
+    "sub": lambda a, b: (a - b) & MASK64,
+    "and": lambda a, b: a & b & MASK64,
+    "or": lambda a, b: (a | b) & MASK64,
+    "xor": lambda a, b: (a ^ b) & MASK64,
+    "sll": lambda a, b: (a << (b & 63)) & MASK64,
+    "srl": lambda a, b: (a & MASK64) >> (b & 63),
+    "sra": lambda a, b: to_unsigned(to_signed(a) >> (b & 63)),
+    "mulx": lambda a, b: (a * b) & MASK64,
+}
+
+#: FP operations on raw 64-bit patterns.  The microbenchmarks only move FP
+#: data around (the paper's kernel stores ``%f`` registers it never
+#: computes with), so FP arithmetic is modeled on the bit patterns as
+#: integers — latency is what matters, not IEEE results.
+FP_OPS: Dict[str, Callable[[int, int], int]] = {
+    "fmov": lambda a, b: a & MASK64,
+    "fadd": lambda a, b: (a + b) & MASK64,
+    "fsub": lambda a, b: (a - b) & MASK64,
+    "fmul": lambda a, b: (a * b) & MASK64,
+}
+
+#: Integer ALU mnemonics :func:`alu` implements.
+ALU_OP_NAMES = tuple(ALU_OPS)
+
+#: FP mnemonics :func:`fp_alu` implements.
+FP_OP_NAMES = tuple(FP_OPS)
+
+
 def alu(op: str, a: int, b: int) -> int:
     """Compute an integer ALU operation on unsigned 64-bit operands."""
-    a &= MASK64
-    b &= MASK64
-    if op == "add":
-        return (a + b) & MASK64
-    if op == "sub":
-        return (a - b) & MASK64
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    if op == "sll":
-        return (a << (b & 63)) & MASK64
-    if op == "srl":
-        return a >> (b & 63)
-    if op == "sra":
-        return to_unsigned(to_signed(a) >> (b & 63))
-    if op == "mulx":
-        return (a * b) & MASK64
-    raise SimulationError(f"unknown ALU op {op!r}")
+    fn = ALU_OPS.get(op)
+    if fn is None:
+        raise SimulationError(f"unknown ALU op {op!r}")
+    return fn(a, b)
 
 
 def fp_alu(op: str, a: int, b: int) -> int:
-    """FP operations on raw 64-bit patterns.
-
-    The microbenchmarks only move FP data around (the paper's kernel stores
-    ``%f`` registers it never computes with), so FP arithmetic is modeled on
-    the bit patterns as integers — latency is what matters, not IEEE results.
-    """
-    if op == "fmov":
-        return a & MASK64
-    if op == "fadd":
-        return (a + b) & MASK64
-    if op == "fsub":
-        return (a - b) & MASK64
-    if op == "fmul":
-        return (a * b) & MASK64
-    raise SimulationError(f"unknown FP op {op!r}")
-
-
-#: Integer ALU mnemonics :func:`alu` implements.
-ALU_OP_NAMES = ("add", "sub", "and", "or", "xor", "sll", "srl", "sra", "mulx")
-
-#: FP mnemonics :func:`fp_alu` implements.
-FP_OP_NAMES = ("fmov", "fadd", "fsub", "fmul")
-
-#: Table-driven dispatch over the same helpers: mnemonic -> a two-operand
-#: callable.  The fast-forward decoder binds the callable once per decoded
-#: instruction instead of re-branching on the mnemonic string every
-#: execution, and because each entry is a partial application of
-#: :func:`alu`/:func:`fp_alu` the functional results are the detailed
-#: core's results by construction.
-ALU_OPS: Dict[str, Callable[[int, int], int]] = {
-    op: partial(alu, op) for op in ALU_OP_NAMES
-}
-FP_OPS: Dict[str, Callable[[int, int], int]] = {
-    op: partial(fp_alu, op) for op in FP_OP_NAMES
-}
+    """An FP operation on raw 64-bit patterns (see :data:`FP_OPS`)."""
+    fn = FP_OPS.get(op)
+    if fn is None:
+        raise SimulationError(f"unknown FP op {op!r}")
+    return fn(a, b)
 
 
 def compare(a: int, b: int) -> int:

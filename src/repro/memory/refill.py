@@ -38,12 +38,15 @@ class RefillEngine:
         # when the head is first considered for issue.
         self._head_drawn = False
         self._stall_until = -1
+        self._requests = stats.handle("refill.requests")
+        self._issued = stats.handle("refill.issued")
+        self._refill_stalls = stats.handle("faults.refill_stall")
 
     def request(self, address: int) -> None:
         """Queue a refill for the line containing ``address``."""
         line = address - (address % self.line_size)
         self._pending.append(line)
-        self.stats.bump("refill.requests")
+        self._requests.bump()
 
     def next_poll(self, bus_cycle: int) -> Optional[int]:
         """Earliest bus cycle, from ``bus_cycle`` on, at which a grant poll
@@ -67,7 +70,7 @@ class RefillEngine:
                 stall = self.faults.refill_stall()
                 if stall:
                     self._stall_until = bus_cycle + stall
-                    self.stats.bump("faults.refill_stall")
+                    self._refill_stalls.bump()
                     if self.events is not None:
                         from repro.observability.events import FaultInjected
 
@@ -90,7 +93,7 @@ class RefillEngine:
         self._pending.popleft()
         self._head_drawn = False
         self._stall_until = -1
-        self.stats.bump("refill.issued")
+        self._issued.bump()
         return True
 
     @property
@@ -125,6 +128,8 @@ class WritebackEngine:
         #: Observability event bus; None (the default) means uninstrumented.
         self.events = None
         self._pending: Deque[Tuple[int, bytes]] = deque()
+        self._requests = stats.handle("writeback.requests")
+        self._issued = stats.handle("writeback.issued")
 
     def request(self, address: int) -> None:
         """Queue a write-back of the line containing ``address``.
@@ -136,7 +141,7 @@ class WritebackEngine:
         line = address - (address % self.line_size)
         data = self.backing.read_bytes(line, self.line_size)
         self._pending.append((line, data))
-        self.stats.bump("writeback.requests")
+        self._requests.bump()
 
     def next_poll(self, bus_cycle: int) -> Optional[int]:
         """Earliest bus cycle, from ``bus_cycle`` on, at which a grant poll
@@ -160,7 +165,7 @@ class WritebackEngine:
         if not self.bus.try_issue(txn, bus_cycle):
             return False
         self._pending.popleft()
-        self.stats.bump("writeback.issued")
+        self._issued.bump()
         return True
 
     @property

@@ -10,7 +10,7 @@ units, caches, bus, uncached buffer, per-cycle stats) deleted.
 
 Programs are pre-decoded into per-instruction closures (``op(state) ->
 next_pc``) with every decode-time constant — canonical register names,
-resolved branch targets, partially-applied ALU callables from
+resolved branch targets, the ALU callables of
 :data:`repro.isa.semantics.ALU_OPS`, ``r0`` write guards — baked in, so
 the inner loop is one dict-free closure call per instruction.  Decoded
 programs are cached module-wide, keyed by

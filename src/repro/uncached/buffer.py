@@ -61,6 +61,10 @@ class UncachedBuffer:
         # Transactions of the head store entry, frozen at first issue.
         self._head_plan: Optional[List[Tuple[int, int, bytes]]] = None
         self._pending_load_txn: Optional[BusTransaction] = None
+        self._stores_combined = stats.handle("uncached.stores_combined")
+        self._full_stalls = stats.handle("uncached.full_stalls")
+        self._entries_allocated = stats.handle("uncached.entries_allocated")
+        self._block_stores = stats.handle("uncached.block_stores")
 
     # -- enqueue (called by the core, program order) ---------------------------
 
@@ -70,23 +74,24 @@ class UncachedBuffer:
         entry = self._combining_candidate(address, size)
         if entry is not None:
             entry.write(address, data)
-            self.stats.bump("uncached.stores_combined")
+            self._stores_combined.bump()
             if self.events is not None:
                 from repro.observability.events import CombineHit
 
                 self.events.publish(CombineHit(address, size, self.core_id))
             return True
         if len(self._entries) >= self.config.depth:
-            self.stats.bump("uncached.full_stalls")
+            self._full_stalls.bump()
             return False
-        self.policy.on_new_entry(
-            [e for e in self._entries if isinstance(e, StoreEntry)]
-        )
+        if self.policy.new_entry_closes_older:
+            for older in self._entries:
+                if isinstance(older, StoreEntry):
+                    older.closed = True
         base = block_base(address, self.config.combine_block)
         new_entry = StoreEntry(base, self.config.combine_block, sequence)
         new_entry.write(address, data)
         self._entries.append(new_entry)
-        self.stats.bump("uncached.entries_allocated")
+        self._entries_allocated.bump()
         return True
 
     def accept_block_store(
@@ -96,13 +101,13 @@ class UncachedBuffer:
         drains as one atomic burst, regardless of the combining policy.
         False when the buffer is full."""
         if len(self._entries) >= self.config.depth:
-            self.stats.bump("uncached.full_stalls")
+            self._full_stalls.bump()
             return False
         entry = StoreEntry(address, len(data), sequence)
         entry.write(address, data)
         entry.closed = True  # nothing may coalesce into a block store
         self._entries.append(entry)
-        self.stats.bump("uncached.block_stores")
+        self._block_stores.bump()
         return True
 
     def accept_load(
@@ -115,7 +120,7 @@ class UncachedBuffer:
     ) -> bool:
         """Enqueue a load (or a sync broadcast); False when full."""
         if len(self._entries) >= self.config.depth:
-            self.stats.bump("uncached.full_stalls")
+            self._full_stalls.bump()
             return False
         self._entries.append(LoadEntry(address, size, sequence, on_data, kind=kind))
         return True

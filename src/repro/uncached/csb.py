@@ -1,8 +1,8 @@
 """The Conditional Store Buffer (paper §3.2) — the core contribution.
 
-State: one cache line of data with per-byte validity, the line-aligned
-address and process ID of the most recent combining store, and a *hit
-counter* counting consecutive conflict-free stores.
+State: one cache line of data with per-byte validity (an int bitmask),
+the line-aligned address and process ID of the most recent combining
+store, and a *hit counter* counting consecutive conflict-free stores.
 
 Protocol:
 
@@ -86,9 +86,15 @@ class ConditionalStoreBuffer:
         self._line_addr: Optional[int] = None
         self._pid: Optional[int] = None
         self._data = bytearray(config.line_size)
-        self._valid = [False] * config.line_size
+        #: bit ``i`` set: byte ``i`` of the line holds store data
+        self._valid = 0
         self._hit_counter = 0
         self._pending: Deque[PendingBurst] = deque()
+        self._sequences_started = stats.handle("csb.sequences_started")
+        self._stores = stats.handle("csb.stores")
+        self._spurious_aborts = stats.handle("faults.csb_spurious_abort")
+        self._flush_conflicts = stats.handle("csb.flush_conflicts")
+        self._flushes = stats.handle("csb.flushes")
 
     # -- occupancy ---------------------------------------------------------
 
@@ -124,17 +130,16 @@ class ConditionalStoreBuffer:
             self._line_addr = line
             self._pid = pid
             self._hit_counter = 0
-            self.stats.bump("csb.sequences_started")
+            self._sequences_started.bump()
             if self.events is not None:
                 from repro.observability.events import SequenceStarted
 
                 self.events.publish(SequenceStarted(line, pid, core_id))
         offset = address - line
         self._data[offset : offset + size] = data
-        for i in range(offset, offset + size):
-            self._valid[i] = True
+        self._valid |= ((1 << size) - 1) << offset
         self._hit_counter += 1
-        self.stats.bump("csb.stores")
+        self._stores.bump()
 
     # -- conditional flush ----------------------------------------------------
 
@@ -156,7 +161,7 @@ class ConditionalStoreBuffer:
             # sequence was clean.  Software's retry loop (reissue the stores
             # and swap again) recovers — exactly the path the paper's
             # conditional protocol is designed around.
-            self.stats.bump("faults.csb_spurious_abort")
+            self._spurious_aborts.bump()
             if self.events is not None:
                 from repro.observability.events import FaultInjected
 
@@ -173,10 +178,10 @@ class ConditionalStoreBuffer:
             self._line_addr = None
             self._pid = None
             self._hit_counter = 0
-            self.stats.bump("csb.flush_conflicts")
+            self._flush_conflicts.bump()
             return FlushResult.CONFLICT
         assert self._line_addr is not None
-        useful = sum(self._valid)
+        useful = self.valid_bytes
         if self.events is not None:
             from repro.observability.events import FlushCommitted
 
@@ -208,13 +213,14 @@ class ConditionalStoreBuffer:
         self._line_addr = None
         self._pid = None
         self._hit_counter = 0
-        self.stats.bump("csb.flushes")
+        self._flushes.bump()
         return FlushResult.SUCCESS
 
     def _covering_span(self) -> tuple:
         """Smallest aligned power-of-two (offset, size) covering valid bytes."""
-        first = self._valid.index(True)
-        last = len(self._valid) - 1 - self._valid[::-1].index(True)
+        valid = self._valid
+        first = (valid & -valid).bit_length() - 1
+        last = valid.bit_length() - 1
         size = 1
         while True:
             offset = (first // size) * size
@@ -248,7 +254,7 @@ class ConditionalStoreBuffer:
             self._line_addr,
             self._pid,
             bytes(self._data),
-            tuple(self._valid),
+            tuple(bool(self._valid >> i & 1) for i in range(len(self._data))),
             self._hit_counter,
         )
 
@@ -262,7 +268,7 @@ class ConditionalStoreBuffer:
         self._line_addr = line_addr
         self._pid = pid
         self._data[:] = data
-        self._valid[:] = valid
+        self._valid = sum(1 << i for i, bit in enumerate(valid) if bit)
         self._hit_counter = hit_counter
 
     # -- introspection (tests, diagnostics) -------------------------------------
@@ -281,10 +287,8 @@ class ConditionalStoreBuffer:
 
     @property
     def valid_bytes(self) -> int:
-        return sum(self._valid)
+        return bin(self._valid).count("1")
 
     def _clear_data(self) -> None:
-        for i in range(len(self._data)):
-            self._data[i] = 0
-        for i in range(len(self._valid)):
-            self._valid[i] = False
+        self._data[:] = bytes(len(self._data))
+        self._valid = 0

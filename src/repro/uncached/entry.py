@@ -1,9 +1,10 @@
 """Entries of the conventional uncached buffer.
 
 A :class:`StoreEntry` covers one combining block: a block-aligned base, a
-byte-validity mask, and the data bytes.  A :class:`LoadEntry` is a single
-uncached load; it blocks the FIFO until its data returns, preserving the
-strong ordering uncached accesses require.
+byte-validity mask (an int, bit ``i`` for byte ``base + i``), and the data
+bytes.  A :class:`LoadEntry` is a single uncached load; it blocks the FIFO
+until its data returns, preserving the strong ordering uncached accesses
+require.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class StoreEntry:
         self.base = base
         self.block_size = block_size
         self.data = bytearray(block_size)
-        self.valid = [False] * block_size
+        #: bit ``i`` set: byte ``base + i`` holds store data
+        self.valid = 0
         self.sequence = sequence
         #: Set once the system interface starts transferring the entry;
         #: a frozen entry accepts no further combining.
@@ -52,8 +54,7 @@ class StoreEntry:
 
     def overlaps(self, address: int, size: int) -> bool:
         """True if any byte of [address, address+size) is already valid."""
-        start = address - self.base
-        return any(self.valid[start : start + size])
+        return bool(self.valid >> (address - self.base) & ((1 << size) - 1))
 
     def can_accept(self, address: int, size: int) -> bool:
         """A store may coalesce here: same block, not frozen, no overlap.
@@ -68,19 +69,19 @@ class StoreEntry:
         return not self.overlaps(address, size)
 
     def write(self, address: int, data: bytes) -> None:
-        if not self.can_accept(address, len(data)):
+        size = len(data)
+        if not self.can_accept(address, size):
             raise SimulationError(
                 f"cannot coalesce store at {address:#x} into entry {self.base:#x}"
             )
         offset = address - self.base
-        self.data[offset : offset + len(data)] = data
-        for i in range(offset, offset + len(data)):
-            self.valid[i] = True
-        self.pieces.append((address, len(data)))
+        self.data[offset : offset + size] = data
+        self.valid |= ((1 << size) - 1) << offset
+        self.pieces.append((address, size))
 
     @property
     def valid_bytes(self) -> int:
-        return sum(self.valid)
+        return bin(self.valid).count("1")
 
     @property
     def last_end(self) -> Optional[int]:
@@ -93,18 +94,21 @@ class StoreEntry:
     @property
     def is_full_contiguous(self) -> bool:
         """True when the whole block is valid."""
-        return all(self.valid)
+        return self.valid == (1 << self.block_size) - 1
 
     def runs(self) -> List[Tuple[int, int]]:
         """Contiguous valid runs as (absolute address, length) pairs."""
         result: List[Tuple[int, int]] = []
-        start: Optional[int] = None
-        for i, bit in enumerate(self.valid + [False]):
-            if bit and start is None:
-                start = i
-            elif not bit and start is not None:
-                result.append((self.base + start, i - start))
-                start = None
+        valid = self.valid
+        offset = 0
+        while valid:
+            gap = (valid & -valid).bit_length() - 1  # clear bits below the run
+            valid >>= gap
+            offset += gap
+            length = (~valid & (valid + 1)).bit_length() - 1  # set bits
+            result.append((self.base + offset, length))
+            valid >>= length
+            offset += length
         return result
 
     def transactions(self) -> List[Tuple[int, int, bytes]]:

@@ -40,6 +40,9 @@ class CombiningPolicy(abc.ABC):
 
     #: short identifier used in configs and reports
     name: str = "abstract"
+    #: A store that fails to combine and allocates a new entry closes every
+    #: older entry to combining (a pattern-tracking policy's broken pattern).
+    new_entry_closes_older = False
 
     def __init__(self, entry_block: int) -> None:
         self.entry_block = entry_block
@@ -53,10 +56,6 @@ class CombiningPolicy(abc.ABC):
     @abc.abstractmethod
     def plan(self, entry: StoreEntry) -> List[Piece]:
         """Decompose a draining entry into bus transactions."""
-
-    def on_new_entry(self, older_entries: List[StoreEntry]) -> None:
-        """Hook invoked when a store failed to combine and a new entry was
-        allocated; pattern-tracking policies close the broken entries."""
 
 
 class BlockCombining(CombiningPolicy):
@@ -79,6 +78,8 @@ class R10000Accelerated(CombiningPolicy):
     """Strictly sequential pattern detection; all-or-nothing bursts."""
 
     name = "r10000"
+    # A store that broke the pattern stops all previous combining.
+    new_entry_closes_older = True
 
     def may_combine(self, entry: StoreEntry, address: int, size: int) -> bool:
         if entry.closed or not entry.can_accept(address, size):
@@ -95,11 +96,6 @@ class R10000Accelerated(CombiningPolicy):
             offset = address - entry.base
             pieces.append((address, size, bytes(entry.data[offset : offset + size])))
         return pieces
-
-    def on_new_entry(self, older_entries: List[StoreEntry]) -> None:
-        # A store that broke the pattern stops all previous combining.
-        for entry in older_entries:
-            entry.closed = True
 
 
 class PowerPC620Pairs(CombiningPolicy):

@@ -71,6 +71,8 @@ class UncachedUnit:
         self._scheduled: List[Tuple[int, ValueCallback, int]] = []
         # Sequence number attached to the oldest pending CSB burst.
         self._csb_burst_seqs: List[int] = []
+        self._csb_store_stalls = stats.handle("csb.store_stalls")
+        self._csb_flush_stalls = stats.handle("csb.flush_stalls")
 
     # -- issue API (called by the core at retirement, program order) -----------
 
@@ -91,21 +93,21 @@ class UncachedUnit:
             if accepted and self.events is not None:
                 self.events.publish(StoreIssued(address, size, "block", self.core_id))
             return accepted
+        if attr is PageAttr.UNCACHED:
+            if not self.buffer.accept_store(address, data, self._sequence + 1):
+                return False
+            self._sequence += 1
+            if self.events is not None:
+                self.events.publish(StoreIssued(address, size, "buffer", self.core_id))
+            return True
         if attr is PageAttr.UNCACHED_COMBINING:
             if not self.csb.line_buffer_free:
-                self.stats.bump("csb.store_stalls")
+                self._csb_store_stalls.bump()
                 return False
             self.csb.store(address, data, pid, self.core_id)
             if self.events is not None:
                 self.events.publish(StoreIssued(address, size, "csb", self.core_id))
             return True
-        if attr is PageAttr.UNCACHED:
-            accepted = self._claim(
-                self.buffer.accept_store(address, data, self._sequence + 1)
-            )
-            if accepted and self.events is not None:
-                self.events.publish(StoreIssued(address, size, "buffer", self.core_id))
-            return accepted
         raise SimulationError(
             f"uncached unit received a cached store at {address:#x}"
         )
@@ -143,7 +145,7 @@ class UncachedUnit:
         attr = self.tlb.attribute_of(address)
         if attr is PageAttr.UNCACHED_COMBINING:
             if not self.csb.line_buffer_free:
-                self.stats.bump("csb.flush_stalls")
+                self._csb_flush_stalls.bump()
                 return False
             result = self.csb.conditional_flush(address, pid, expected, self.core_id)
             if result is FlushResult.SUCCESS:

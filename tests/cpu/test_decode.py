@@ -3,7 +3,9 @@
 :func:`repro.cpu.decode.decode_program` is what dispatch, routing,
 retirement and commit read instead of ``sources()``, ``destination()``,
 ``isinstance`` chains and ``Program.target_of``; every record must agree
-with those calls for every shipped kernel and the random-program corpus.
+with those calls for every shipped kernel and the random-program corpus,
+and carry the core's dispatch effect and retire handler for its class and
+opcode.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cpu import decode
+from repro.cpu.core import Core
 from repro.cpu.decode import (
     ROUTE_ISSUE,
     ROUTE_ISSUED,
@@ -29,6 +32,8 @@ from repro.isa.instructions import (
     Instruction,
     LoadInstruction,
     LoadLinkedInstruction,
+    MarkInstruction,
+    MembarInstruction,
     SetInstruction,
     StoreConditionalInstruction,
     StoreInstruction,
@@ -63,6 +68,40 @@ def _expected_route(instr: Instruction) -> str:
     return ROUTE_ISSUED if instr.fu == FU_NONE else ROUTE_ISSUE
 
 
+def _expected_handlers(instr: Instruction) -> tuple:
+    """(dispatch effect, retire handler) the core runs for ``instr``."""
+    if isinstance(instr, BranchInstruction):
+        dispatch = {
+            "ba": Core._dispatch_ba,
+            "brz": Core._dispatch_brz,
+            "brnz": Core._dispatch_brnz,
+        }.get(instr.op, Core._dispatch_icc_branch)
+        return dispatch, Core._retire_plain
+    for cls, handlers in (
+        (SwapInstruction, (Core._dispatch_swap, Core._retire_swap)),
+        (LoadLinkedInstruction, (Core._dispatch_ll, Core._retire_cached_load)),
+        (
+            StoreConditionalInstruction,
+            (Core._dispatch_sc, Core._retire_store_conditional),
+        ),
+        (LoadInstruction, (Core._dispatch_load, Core._retire_load)),
+        (
+            BlockStoreInstruction,
+            (Core._dispatch_blockstore, Core._retire_uncached_store),
+        ),
+        (StoreInstruction, (Core._dispatch_store, Core._retire_store)),
+        (MarkInstruction, (Core._dispatch_untimed, Core._retire_mark)),
+        (HaltInstruction, (Core._dispatch_untimed, Core._retire_halt)),
+        (MembarInstruction, (Core._dispatch_untimed, Core._retire_membar)),
+        (SetInstruction, (Core._dispatch_compute, Core._retire_plain)),
+        (CompareInstruction, (Core._dispatch_compute, Core._retire_plain)),
+        (AluInstruction, (Core._dispatch_compute, Core._retire_plain)),
+    ):
+        if isinstance(instr, cls):
+            return handlers
+    return Core._dispatch_nothing, Core._retire_plain
+
+
 def _check_table(program: Program) -> None:
     table = decode_program(program)
     assert len(table) == len(program)
@@ -85,9 +124,10 @@ def _check_table(program: Program) -> None:
         assert record.needs_values == (
             instr.is_branch or (instr.is_mem and not instr.is_membar)
         )
-        assert record.computes == isinstance(
+        assert (record.compute is not None) == isinstance(
             instr, (AluInstruction, SetInstruction, CompareInstruction)
         )
+        assert (record.dispatch, record.retire) == _expected_handlers(instr), pc
         assert record.atomic == isinstance(
             instr, (SwapInstruction, StoreConditionalInstruction)
         )

@@ -1,9 +1,9 @@
 """--mem plumbing and the visible sampling fallback.
 
 The CLI's ``--mem KEY=VALUE`` flags become a partial ``mem`` overrides
-section on the SweepRunner, reach every sweep job, and tag the
-whole-table cache; a sampled sweep that must run a job detailed now says
-so (``sampling_fallbacks`` + a log line) instead of staying silent.
+section on the SweepRunner and reach every sweep job; a sampled sweep
+that must run a job detailed now says so (``sampling_fallbacks`` + a log
+line) instead of staying silent.
 """
 
 from __future__ import annotations
@@ -11,12 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import MemoryConfig, SamplingConfig
-from repro.evaluation.cli import (
-    _make_runner,
-    _mem_from_args,
-    _parser,
-    _table_variant,
-)
+from repro.evaluation.cli import _make_runner, _mem_from_args, _parser
 from repro.evaluation.runner import SimJob, SweepRunner, job_key
 from repro.workloads.random_programs import (
     MARK_END,
@@ -68,17 +63,6 @@ class TestMemFlag:
         )
         runner = _make_runner(args)
         assert runner.overrides == {"mem": {"mshrs": 8, "enabled": True}}
-
-    def test_table_variant_tags_mem_runs(self):
-        assert _table_variant(SweepRunner()) == ""
-        tagged = _table_variant(
-            SweepRunner(overrides={"mem": {"enabled": True}})
-        )
-        assert tagged.startswith("overrides:")
-        both = _table_variant(
-            SweepRunner(sampling=SAMPLING, overrides={"mem": {"enabled": True}})
-        )
-        assert "sampled:" in both and "overrides:" in both
 
 
 class TestInvalidMergedConfig:

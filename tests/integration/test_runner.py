@@ -203,14 +203,14 @@ class TestExperimentTableCache:
         # A sweep's table key carries no config content, so an entry
         # stored under it would outlive a change to the sweep's points.
         from repro.common.tables import Table
-        from repro.evaluation.cli import _resolve_table, _table_variant
+        from repro.evaluation.cli import _resolve_table
         from repro.evaluation.runner import experiment_key
 
         cache = ResultCache(str(tmp_path))
         runner = SweepRunner(jobs=1, cache=cache)
         bogus = Table(["stale"])
         bogus.add_row(1)
-        key = experiment_key("fig5a", variant=_table_variant(runner))
+        key = experiment_key("fig5a")
         cache.put_table(key, bogus, name="fig5a")
         for _ in range(2):  # cold per-job cache, then warm
             table = _resolve_table("fig5a", runner, [])

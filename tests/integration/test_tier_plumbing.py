@@ -10,23 +10,14 @@ default tier stays byte-identical to the pre-tiered engine.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.common.config import SamplingConfig
-from repro.evaluation.cli import (
-    _parser,
-    _sampling_from_args,
-    _table_variant,
-    main,
-)
+from repro.evaluation.cli import _parser, _sampling_from_args, main
 from repro.evaluation.experiments import experiment_ids, ignores_runner
-from repro.evaluation.runner import (
-    ResultCache,
-    SimJob,
-    SweepRunner,
-    experiment_key,
-    job_key,
-)
+from repro.evaluation.runner import ResultCache, SimJob, SweepRunner, job_key
 from repro.workloads.random_programs import (
     MARK_END,
     MARK_START,
@@ -81,18 +72,6 @@ class TestCliFlags:
         args = _parser().parse_args(["fig3a", "--sample", flag])
         with pytest.raises(SystemExit):
             _sampling_from_args(args)
-
-    def test_table_variant_tags_sampled_runs(self):
-        assert _table_variant(SweepRunner()) == ""
-        tagged = _table_variant(SweepRunner(sampling=SAMPLING))
-        assert tagged.startswith("sampled:")
-        assert "96" in tagged
-
-    def test_experiment_key_varies_with_variant(self):
-        plain = experiment_key("fig3a")
-        sampled = experiment_key("fig3a", variant="sampled:x")
-        assert plain != sampled
-        assert experiment_key("fig3a", variant="") == plain
 
 
 class TestRunnerRewrite:
@@ -176,6 +155,18 @@ class TestStudiesOutsideTheRunner:
         argv = ["sync-mechanisms", "--tier", "sampled", "--no-cache", "--quiet"]
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
+
+    def test_flagged_warm_run_reads_the_one_table_entry(self, tmp_path, capsys):
+        # Such a study's table is the same under every flag, so a warm run
+        # with a flag it ignores is served from the entry a plain run wrote.
+        cache_dir = str(tmp_path / "cache")
+        assert main(["crossover", "--cache-dir", cache_dir, "--quiet"]) == 0
+        argv = ["crossover", "--cache-dir", cache_dir, "--mem", "mshrs=8"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "[0 simulated, 1 cached" in err
+        entries = [name for name in os.listdir(cache_dir) if name.endswith(".json")]
+        assert len(entries) == 1
 
     def test_no_note_without_an_ignored_flag(self, capsys):
         assert main(["sync-mechanisms", "--no-cache"]) == 0

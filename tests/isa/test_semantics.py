@@ -7,6 +7,46 @@ from repro.isa import semantics
 from repro.common.errors import SimulationError
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+#: Operands beyond the register width too: immediates may be negative.
+WIDE = st.integers(min_value=-(1 << 70), max_value=1 << 70)
+
+
+def chained_alu(op: str, a: int, b: int) -> int:
+    """``semantics.alu`` before it dispatched through ``ALU_OPS``, verbatim."""
+    a &= semantics.MASK64
+    b &= semantics.MASK64
+    if op == "add":
+        return (a + b) & semantics.MASK64
+    if op == "sub":
+        return (a - b) & semantics.MASK64
+    if op == "and":
+        return a & b
+    if op == "or":
+        return a | b
+    if op == "xor":
+        return a ^ b
+    if op == "sll":
+        return (a << (b & 63)) & semantics.MASK64
+    if op == "srl":
+        return a >> (b & 63)
+    if op == "sra":
+        return semantics.to_unsigned(semantics.to_signed(a) >> (b & 63))
+    if op == "mulx":
+        return (a * b) & semantics.MASK64
+    raise SimulationError(f"unknown ALU op {op!r}")
+
+
+def chained_fp_alu(op: str, a: int, b: int) -> int:
+    """``semantics.fp_alu`` before it dispatched through ``FP_OPS``, verbatim."""
+    if op == "fmov":
+        return a & semantics.MASK64
+    if op == "fadd":
+        return (a + b) & semantics.MASK64
+    if op == "fsub":
+        return (a - b) & semantics.MASK64
+    if op == "fmul":
+        return (a * b) & semantics.MASK64
+    raise SimulationError(f"unknown FP op {op!r}")
 
 
 class TestAlu:
@@ -30,6 +70,18 @@ class TestAlu:
     def test_unknown_op(self):
         with pytest.raises(SimulationError):
             semantics.alu("div", 1, 1)
+
+    @pytest.mark.parametrize("op", semantics.ALU_OP_NAMES)
+    @given(a=WIDE, b=WIDE)
+    def test_property_table_matches_the_chain(self, op, a, b):
+        assert semantics.ALU_OPS[op](a, b) == chained_alu(op, a, b)
+        assert semantics.alu(op, a, b) == chained_alu(op, a, b)
+
+    @pytest.mark.parametrize("op", semantics.FP_OP_NAMES)
+    @given(a=WIDE, b=WIDE)
+    def test_property_fp_table_matches_the_chain(self, op, a, b):
+        assert semantics.FP_OPS[op](a, b) == chained_fp_alu(op, a, b)
+        assert semantics.fp_alu(op, a, b) == chained_fp_alu(op, a, b)
 
     @given(a=U64, b=U64)
     def test_property_add_matches_python_mod_2_64(self, a, b):

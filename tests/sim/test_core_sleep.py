@@ -21,9 +21,12 @@ cycle); with the issue stage replaced by :func:`scanning_issue`, the
 scanning issue stage kept verbatim as the reference; with the memory-queue
 stage replaced by :func:`scanning_memq`, the stage that walks all of
 ``_memq``, kept verbatim; with spin sleeping off (``Core._spinning``, the
-spin trigger, monkeypatched to say no); and with all of these off.  The cycle count, every counter, the
-marks, the transaction records, the metrics snapshot, the pipeline trace
-and each process's pc, retired count and registers must agree exactly.
+spin trigger, monkeypatched to say no); and with all of these off and
+the dispatch and retire stages replaced by the chains the decode-bound
+handlers replaced (:data:`CHAINED`, kept verbatim).  The cycle count,
+every counter, the marks, the transaction records, the metrics snapshot,
+the pipeline trace and each process's pc, retired count and registers
+must agree exactly.
 
 Those runs attach a pipeline trace, which turns spin sleeping off.  The
 spinning-core section therefore runs with the trace off, each case twice:
@@ -33,7 +36,7 @@ with spin sleeping off and as shipped.
 from __future__ import annotations
 
 import io
-from typing import List
+from typing import Any, Dict, List
 
 import pytest
 
@@ -46,6 +49,7 @@ from repro.common.config import (
 )
 from repro.common.errors import DeadlockError, SimulationError
 from repro.cpu.core import Core
+from repro.cpu.decode import ROUTE_ISSUE, ROUTE_ISSUED, ROUTE_MEMQ, ROUTE_UNTIMED
 from repro.cpu.inflight import InFlight, MemState
 from repro.devices import nic
 from repro.devices.link import Link
@@ -57,12 +61,15 @@ from repro.evaluation.runner import SweepRunner, TraceJob
 from repro.evaluation.smp_contention import smp_contention_system
 from repro.faults.config import FaultConfig
 from repro.isa.assembler import assemble
+from repro.isa import semantics
 from repro.isa.instructions import (
+    BLOCK_STORE_REGS,
     FU_FP,
     StoreConditionalInstruction,
     StoreInstruction,
     SwapInstruction,
 )
+from repro.isa.registers import MASK64
 from repro.memory.layout import IO_COMBINING_BASE, IO_UNCACHED_BASE, PageAttr, Region
 from repro.observability import JsonlSink
 from repro.sim.cluster import Cluster
@@ -227,6 +234,363 @@ def scanning_complete_cache_accesses(self, now: int) -> None:
             flight.mem_state = MemState.DONE
 
 
+# The dispatch and retire stages before decode bound each record's
+# dispatch effect and retire handler, verbatim: dispatch applies effects
+# through ``_apply_dispatch_effects`` and the kind chains of
+# ``_prepare_memop`` and ``_compute_value``; retirement walks the
+# ``is_mark``/``is_halt``/``is_membar``/``is_mem`` ladder into
+# ``_retire_memop`` and ``_retire_uncached``.  CHAINED patches them onto
+# Core under their old names, so their calls to one another resolve.
+
+
+def chained_dispatch(self, now: int) -> None:
+    assert self.context is not None
+    # Hot loop: config limits, queues, the decode table, the register
+    # mapping and the (usually-None) trace are hoisted to locals
+    # instead of being re-resolved per instruction.
+    config = self.config
+    rob = self._rob
+    memq = self._memq
+    rob_entries = config.rob_entries
+    memq_entries = config.memq_entries
+    ops = self._ops
+    spec_map = self._spec_map
+    registers = self.context.registers.raw_values
+    trace = self.trace
+    budget = config.dispatch_width
+    while budget > 0:
+        if len(rob) >= rob_entries:
+            self.stats.bump("core.rob_full_stalls")
+            return
+        pc = self._spec_pc
+        if pc >= len(ops):
+            raise SimulationError(f"fetch ran past the program end at pc={pc}")
+        op = ops[pc]
+        route = op.route
+        if route == ROUTE_MEMQ and len(memq) >= memq_entries:
+            self.stats.bump("core.memq_full_stalls")
+            return
+        # Source operands: known values into src_vals, in-flight
+        # producers into deps.  A branch condition or memory operand
+        # whose value is not yet known stalls the frontend.
+        src_vals: Dict[str, int] = {}
+        deps: Dict[str, InFlight] = {}
+        for reg in op.sources:
+            producer = spec_map.get(reg)
+            if producer is None:
+                src_vals[reg] = registers[reg]  # r0 reads as 0
+                continue
+            deps[reg] = producer
+            value = producer.value
+            if value is not None:
+                src_vals[reg] = value
+            elif op.needs_values:
+                self.stats.bump("core.frontend_value_stalls")
+                return
+        flight = InFlight(self._next_seq(), op, pc, now, src_vals, deps)
+        self._apply_dispatch_effects(flight)
+        if trace is not None:
+            trace.record(now, "dispatch", flight.seq, pc, op.instr)
+        if not op.is_branch:
+            self._spec_pc = pc + 1
+        rob.append(flight)
+        if route == ROUTE_MEMQ:
+            memq.append(flight)
+            if flight.attr is PageAttr.CACHED and not op.atomic:
+                self._memq_wait.append(flight)
+        elif route == ROUTE_ISSUE:
+            self._issueq.append(flight)
+        elif route == ROUTE_ISSUED:
+            flight.issued = True  # nothing to issue (no FU class)
+        if op.is_halt:
+            self._fetch_stopped = True
+            return
+        if not op.is_mark:
+            budget -= 1
+        self._n_dispatched.value += 1
+
+
+def chained_apply_dispatch_effects(self, flight: InFlight) -> None:
+    """Functional-first execution at dispatch, where possible."""
+    op = flight.op
+    if op.is_branch:
+        self._resolve_branch(flight)
+        return
+    if op.route == ROUTE_MEMQ:
+        self._prepare_memop(flight)
+    elif op.compute is not None:
+        if flight.operands_known():
+            self._compute_value(flight)
+    elif op.route == ROUTE_UNTIMED:
+        # No result, no functional unit: timing-ready immediately.
+        self._record_ready(flight, flight.dispatch_cycle)
+    if op.writes is not None:
+        self._spec_map[op.writes] = flight
+
+
+def chained_resolve_branch(self, flight: InFlight) -> None:
+    instr: Any = flight.instr  # a BranchInstruction (decoded kind)
+    if instr.op in ("brz", "brnz"):
+        taken = semantics.branch_taken(
+            instr.op, reg_value=flight.operand(instr.rs1)
+        )
+    elif instr.op == "ba":
+        taken = True
+    else:
+        taken = semantics.branch_taken(
+            instr.op, cc=flight.operand("icc")
+        )
+    flight.taken = taken
+    if taken:
+        target = flight.op.target
+        assert target is not None
+        self._spec_pc = target
+    else:
+        self._spec_pc = flight.pc + 1
+    if not self.config.perfect_branch_prediction:
+        # Sensitivity knob: charge a flat redirect penalty per taken
+        # branch by delaying the branch's readiness.
+        flight.ready_at = None
+    self._n_branches.value += 1
+
+
+def chained_prepare_memop(self, flight: InFlight) -> None:
+    """Compute the address, classify by page attribute, and apply
+    functional effects for cached operations."""
+    instr: Any = flight.instr  # the class the decoded kind names
+    base = flight.operand(instr.base)
+    offset = instr.offset
+    if isinstance(offset, str):
+        offset_value = flight.operand(offset)
+    else:
+        offset_value = offset
+    address = (base + offset_value) & MASK64
+    size = instr.size
+    if address % size:
+        raise SimulationError(
+            f"unaligned {size}-byte access at {address:#x} (pc={flight.pc})"
+        )
+    flight.address = address
+    flight.attr = self.tlb.attribute_of(address)
+    kind = flight.op.kind
+    if kind == "swap":
+        flight.swap_expected = flight.operand(instr.rd)
+        if flight.attr is PageAttr.CACHED:
+            self._log_undo(flight, address, 8)
+            old = self.hierarchy.read(address, 8)
+            self.hierarchy.write(address, flight.swap_expected, 8)
+            self._set_value(flight, old, ready=None)
+            self._clear_link_if_written(address)
+        # Uncached swap results resolve through the uncached unit.
+    elif kind == "ll":
+        if flight.attr is not PageAttr.CACHED:
+            raise SimulationError(
+                f"load-linked requires cached space, not {address:#x}"
+            )
+        self._set_value(flight, self.hierarchy.read(address, 8), ready=None)
+        self._link = address - (address % self.hierarchy.config.line_size)
+    elif kind == "sc":
+        if flight.attr is not PageAttr.CACHED:
+            raise SimulationError(
+                f"store-conditional requires cached space, not {address:#x}"
+            )
+        line = address - (address % self.hierarchy.config.line_size)
+        if self._link == line:
+            flight.store_data = flight.operand(instr.rs)
+            self._log_undo(flight, address, 8)
+            self.hierarchy.write(address, flight.store_data, 8)
+            self._set_value(flight, 1, ready=None)
+        else:
+            self._set_value(flight, 0, ready=None)
+        self._link = None  # an SC always consumes the link
+    elif kind == "load":
+        if flight.attr is PageAttr.CACHED:
+            self._set_value(flight, self.hierarchy.read(address, size), ready=None)
+    elif kind == "blockstore":
+        if flight.attr is PageAttr.CACHED:
+            raise SimulationError(
+                "block stores bypass the cache hierarchy; target "
+                f"uncached space, not {address:#x}"
+            )
+        packed = 0
+        for reg in BLOCK_STORE_REGS:
+            packed = (packed << 64) | flight.operand(reg)
+        flight.store_data = packed
+    elif kind == "store":
+        flight.store_data = flight.operand(instr.rs)
+        if flight.attr is PageAttr.CACHED:
+            self._log_undo(flight, address, size)
+            self.hierarchy.write(address, flight.store_data, size)
+            self._clear_link_if_written(address)
+
+
+def chained_compute_value(self, flight: InFlight) -> None:
+    """Functional execution of ALU-class instructions."""
+    instr: Any = flight.instr  # the class the decoded kind names
+    kind = flight.op.kind
+    if kind == "set":
+        value = instr.value & MASK64
+    elif kind == "cmp":
+        op2 = (
+            flight.operand(instr.operand2)
+            if isinstance(instr.operand2, str)
+            else instr.operand2
+        )
+        value = semantics.compare(flight.operand(instr.rs1), op2)
+    elif kind == "alu":
+        op2 = (
+            flight.operand(instr.operand2)
+            if isinstance(instr.operand2, str)
+            else instr.operand2
+        )
+        rs1 = flight.operand(instr.rs1)
+        if instr.fu == FU_FP:
+            value = semantics.fp_alu(instr.op, rs1, op2)
+        else:
+            value = semantics.alu(instr.op, rs1, op2)
+    else:
+        raise SimulationError(f"cannot compute value for {instr!r}")
+    self._set_value(flight, value, ready=None)
+
+
+def chained_next_seq(self) -> int:
+    self._seq += 1
+    return self._seq
+
+
+def chained_retire(self, now: int) -> None:
+    assert self.context is not None
+    budget = self.config.retire_width
+    while self._rob and budget > 0:
+        head = self._rob[0]
+        instr = head.instr
+        if instr.is_mark:
+            self.context.marks[instr.label] = now  # type: ignore[attr-defined]
+            self.stats.mark(instr.label, now)  # type: ignore[attr-defined]
+            self._commit(head, now)
+            continue  # marks are free
+        if instr.is_halt:
+            self.context.halted = True
+            self.context.pc = head.pc
+            self._commit(head, now)
+            return
+        if instr.is_membar:
+            if not self.unit.barrier_clear():
+                return
+            self._commit(head, now)
+            budget -= 1
+            continue
+        if instr.is_mem:
+            if not self._retire_memop(head, now):
+                return
+            budget -= 1
+            continue
+        if head.ready_at is None or head.ready_at > now:
+            return
+        self._commit(head, now)
+        budget -= 1
+
+
+def chained_retire_memop(self, head: InFlight, now: int) -> bool:
+    """Handle a memory operation at the head of the ROB.  Returns True
+    when it retired this cycle."""
+    kind = head.op.kind
+    if head.attr is PageAttr.CACHED:
+        if kind == "swap":
+            return self._retire_cached_swap(head, now)
+        if kind == "sc":
+            return self._retire_store_conditional(head, now)
+        if kind == "store":
+            if head.mem_state is not MemState.DONE:
+                return False
+            assert head.address is not None
+            if self.dcache is not None:
+                return self._retire_cached_store_dcache(head, now)
+            # Commit: the timing-plane cache access happens now; the
+            # functional write already happened at dispatch.
+            self.hierarchy.access_latency(head.address, is_write=True)
+            self._commit(head, now)
+            return True
+        # Cached load: retires once its access completed.
+        if head.mem_state is not MemState.DONE or (
+            head.ready_at is not None and head.ready_at > now
+        ):
+            return False
+        self._commit(head, now)
+        return True
+    return self._retire_uncached(head, now)
+
+
+def chained_retire_uncached(self, head: InFlight, now: int) -> bool:
+    """Uncached operations issue here: in order, non-speculatively, one
+    per cycle through the uncached port."""
+    assert self.context is not None
+    instr: Any = head.instr  # the class the decoded kind names
+    kind = head.op.kind
+    if head.mem_state is MemState.WAITING:
+        if not head.timing_ready(now):
+            return False
+        if not self.fus.acquire("uncached"):
+            return False
+        if kind == "swap":
+            assert head.address is not None and head.swap_expected is not None
+            accepted = self.unit.issue_swap(
+                head.address,
+                self.context.pid,
+                head.swap_expected,
+                self._uncached_resolver(head),
+            )
+            if accepted:
+                head.mem_state = MemState.ISSUED_UNCACHED
+            return False
+        if kind == "store" or kind == "blockstore":
+            assert head.address is not None and head.store_data is not None
+            accepted = self.unit.issue_store(
+                head.address,
+                instr.size,
+                head.store_data,
+                self.context.pid,
+            )
+            if not accepted:
+                self.stats.bump("core.uncached_store_stalls")
+                return False
+            head.mem_state = MemState.DONE
+            if self.trace is not None:
+                self.trace.record(now, "uncached", head.seq, head.pc, instr)
+            self._commit(head, now)
+            self.stats.bump("core.uncached_stores")
+            return True
+        # Uncached load.
+        assert head.address is not None
+        accepted = self.unit.issue_load(
+            head.address,
+            instr.size,
+            self._uncached_resolver(head),
+        )
+        if accepted:
+            head.mem_state = MemState.ISSUED_UNCACHED
+        return False
+    if head.mem_state is MemState.ISSUED_UNCACHED:
+        return False  # waiting for the value to come back
+    # DONE: the value resolved; retire it.
+    self._commit(head, now)
+    return True
+
+
+#: The reference chains, by the Core attribute each replaces or restores.
+CHAINED = {
+    "_dispatch": chained_dispatch,
+    "_apply_dispatch_effects": chained_apply_dispatch_effects,
+    "_resolve_branch": chained_resolve_branch,
+    "_prepare_memop": chained_prepare_memop,
+    "_compute_value": chained_compute_value,
+    "_next_seq": chained_next_seq,
+    "_retire": chained_retire,
+    "_retire_memop": chained_retire_memop,
+    "_retire_uncached": chained_retire_uncached,
+}
+
+
 def _slept(systems):
     return sum(core.slept_ticks for system in systems for core in system.cores)
 
@@ -272,7 +636,9 @@ def _both(monkeypatch, run):
     scanning issue stage, the shipped code with the scanning memory-queue
     stage, the shipped code with spin sleeping off, and a run with
     sleeping, spinning, the jump, parking and the memory-queue lists all
-    off; the first four must equal the shipped run.  The spin-off
+    off and the chained dispatch and retire stages (:data:`CHAINED`) in
+    place of the decode-bound handlers; the first four must equal the
+    shipped run.  The spin-off
     reference runs only when a system has no pipeline trace: a trace
     turns spin sleeping off, which makes that run the shipped one.  The
     result is the all-off signature, the shipped one and the shipped
@@ -284,6 +650,8 @@ def _both(monkeypatch, run):
         patch.setattr(System, "_next_event", _never_jump)
         patch.setattr(Core, "_issue", scanning_issue)
         patch.setattr(Core, "_memq_issue", scanning_memq)
+        for name, reference in CHAINED.items():
+            patch.setattr(Core, name, reference, raising=False)
         awake, awake_systems = run()
     assert _slept(awake_systems) == _jumped(awake_systems) == 0
     assert _parked(awake_systems) == 0
