@@ -98,7 +98,7 @@ class Core:
         self._registers: Dict[str, int] = {}
         self._rob: Deque[InFlight] = deque()
         #: every dispatched memory operation, in program order: store
-        #: disambiguation, the sleep probe and snapshots read all of it
+        #: disambiguation and snapshots read all of it
         self._memq: List[InFlight] = []
         #: what the memory-queue stage walks instead (see _memq_issue)
         self._memq_wait: List[InFlight] = []
@@ -144,15 +144,20 @@ class Core:
         self._link: Optional[int] = None
         self._last_progress = 0
         self.now = 0
-        # Quiet-tick sleeping (see tick): while asleep the core re-applies
-        # one quiet tick's counter increments each cycle instead of
-        # re-running its stages, until ``_sleep_until`` or until the bus
-        # accepts a transaction (its count moves off ``_sleep_bus_mark``).
+        # Quiet-tick sleeping (see tick): while asleep the core skips its
+        # stages, until ``_sleep_until`` or until the bus accepts a
+        # transaction (its count moves off ``_sleep_bus_mark``).  One quiet
+        # tick's counter increments, the ledger, are owed for every slept
+        # cycle and paid at once by _settle, up to the cycle it is given;
+        # ``_settled`` is the last cycle paid for.
         self._bus = uncached_unit.bus
         self._sleep_until = 0
         self._sleep_bus_mark = 0
         self._sleep_ledger: List[Tuple[Counter, int]] = []
         self._sleep_mshr_stalls = 0
+        self._settled = 0
+        #: no ROB entry's ``ready_at`` lies after this cycle (see _wake_cycle)
+        self._horizon = 0
         self._progress_mark = 0
         self._armed = False
         # This core's own issues, part of the sleep trigger's progress:
@@ -160,9 +165,8 @@ class Core:
         self._issued = 0
         # Spin sleeping (see _try_spin): while asleep in a register-only
         # loop, ``_spin`` is one period's (seq shift, register addends) and
-        # the pipeline holds the state after the tick of ``_spin_at``.
+        # the pipeline holds the state after the tick of ``_settled``.
         self._spin: Optional[Tuple[int, Dict[str, int]]] = None
-        self._spin_at = 0
         self._spin_armed = False
         self._spin_rob = 0  # ROB occupancy after the last gate check
         self._spin_retry = 0  # a failed spin probe backs off until here
@@ -216,9 +220,10 @@ class Core:
         self._sleep_until = 0
 
     def settle(self) -> None:
-        """Bring a spin sleep's pipeline up to :attr:`now`, so a reader
-        between ticks sees what ticking would have left; the sleep goes
-        on.  A no-op for every other core."""
+        """Bring a sleeping core up to :attr:`now`, so a reader between
+        ticks sees what ticking would have left: pay the ledger for the
+        cycles slept since the last settle and shift a spin sleep's
+        pipeline; the sleep goes on.  A no-op for an awake core."""
         self._settle(self.now)
 
     def interrupt(self) -> None:
@@ -273,7 +278,7 @@ class Core:
         bumps stall counters.  After a quiet tick that was probed (its
         pipeline state and counters recorded around it), the core sleeps
         until the earliest cycle one of its own timers could change the
-        outcome, re-applying that tick's counter increments each cycle.
+        outcome, owing that tick's counter increments for each cycle.
         It wakes early when the bus accepts a transaction — the only way a
         bus cycle changes the uncached buffer, the CSB line buffers or
         ``barrier_clear`` — and when :meth:`wake` is called: a value
@@ -281,9 +286,12 @@ class Core:
 
         A *spinning* core sleeps too (see :meth:`_try_spin`): after a
         probed tick in a register-only loop's period-1 steady state, it
-        re-applies that tick's counter increments each cycle until the
-        loop's exit is dispatched or :meth:`wake` is called, and shifts
-        its pipeline by the periods it slept when it wakes or when
+        owes that tick's counter increments for each cycle until the
+        loop's exit is dispatched or :meth:`wake` is called.
+
+        A sleeping tick only moves :attr:`now`.  What the slept cycles owe
+        — the counter increments, and a spin sleep's pipeline shift by the
+        periods slept — is paid once, when the sleep ends or when
         :meth:`settle` is called.  Every simulated result is identical to
         ticking through.
         """
@@ -296,15 +304,13 @@ class Core:
             if now < self._sleep_until and (
                 self._bus.accepted == self._sleep_bus_mark or self._spin is not None
             ):
-                self.skip(1, now)
                 return
-            # Woken by the bus or a timer: probe at once.  Often nothing
-            # changed for this core (another initiator's transaction), and
-            # otherwise the stall usually resumes right after this tick.
-            # A spin sleep's pipeline first catches up with the last cycle.
-            if self._spin is not None:
-                self._settle(now - 1)
-                self._spin = None
+            # Woken by the bus or a timer: pay for the cycles slept and
+            # probe at once.  Often nothing changed for this core (another
+            # initiator's transaction), and otherwise the stall usually
+            # resumes right after this tick.
+            self._settle(now - 1)
+            self._spin = None
             self._sleep_until = 0
             woke = self._armed = True
         probe = self._quiet_probe() if self._armed else None
@@ -354,29 +360,39 @@ class Core:
     # -- quiet-tick sleeping ----------------------------------------------------------
 
     def _pipeline_state(self) -> tuple:
-        """Everything a tick can change besides stall counters.
+        """What tells whether a tick changed anything besides stall
+        counters, in O(1).
 
         Dispatch, issue and retirement move the first three fields (and
-        with them every undo record); every other transition (cache
+        with them every undo record).  Every other transition (cache
         access, store commit readiness, uncached issue, atomics at the
-        head) is a memory-queue entry changing state.  Parking and merging
-        woken entries move the issue-queue length, and a producer that
-        wakes parked entries changes one of the above.
+        head) is a memory-queue entry changing state, and during the
+        core's own tick only two kinds of entry do: the ROB head (the
+        retire stage acts on nothing else without retiring it), and the
+        members of the memory-queue stage's two walk lists, each of which
+        leaves its list when it changes (see :meth:`_memq_issue`).  So
+        the head's fields and the two lists' lengths stand in for a
+        snapshot of every entry.  Parking and merging woken entries move
+        the issue-queue length, and a producer that wakes parked entries
+        changes one of the above.
         """
+        rob = self._rob
+        head = rob[0] if rob else None
         return (
             self._seq,
             self._issued,
-            len(self._rob),
+            len(rob),
             len(self._issueq),
             self._last_progress,
             self._interrupt_pending,
             self._drain_requested,
             self._fetch_stopped,
             self._link,
-            [
-                (f.mem_state, f.ready_at, f.value_known, f.cache_issued)
-                for f in self._memq
-            ],
+            len(self._memq_wait),
+            len(self._memq_access),
+            None
+            if head is None
+            else (head.mem_state, head.ready_at, head.value_known, head.cache_issued),
         )
 
     def _quiet_probe(self) -> tuple:
@@ -419,6 +435,7 @@ class Core:
         )
         self._sleep_until = wake
         self._sleep_bus_mark = self._bus.accepted
+        self._settled = now
 
     def _wake_cycle(self, now: int) -> int:
         """Earliest cycle after ``now`` at which a timer the pipeline
@@ -429,12 +446,16 @@ class Core:
         ready cycles, issue-queue ``stall_until`` hints and parked entries
         need no scan of their own: a retired producer's result was ready by
         its retirement, and a producer still in flight is a ROB entry.
+        The ROB is walked only while ``_horizon``, the latest ready cycle
+        the core recorded, is still ahead: most sleeps start with every
+        result in the ROB long ready and end on a bus acceptance.
         """
         wake = self._last_progress + 50_001  # the no-progress watchdog
-        for flight in self._rob:
-            ready = flight.ready_at
-            if ready is not None and now < ready < wake:
-                wake = ready
+        if self._horizon > now:
+            for flight in self._rob:
+                ready = flight.ready_at
+                if ready is not None and now < ready < wake:
+                    wake = ready
         if self.dcache is not None:
             fill = self.dcache.next_fill(now)
             if fill is not None and fill < wake:
@@ -566,7 +587,7 @@ class Core:
         self._sleep_mshr_stalls = 0
         addends = {reg: (step * iterations) & MASK64 for reg, step in loop.steps}
         self._spin = (self._seq - seq, addends)
-        self._spin_at = now
+        self._settled = now
         self._sleep_until = wake
 
     def _spin_exit(self, now: int, loop: SpinLoop, iterations: int) -> int:
@@ -599,8 +620,28 @@ class Core:
         return now + (j + iterations) // iterations
 
     def _settle(self, last: int) -> None:
-        """Shift a spin sleep's pipeline by the periods from ``_spin_at``
-        to ``last``: what ticking them would have left.
+        """Pay what the cycles slept after ``_settled`` up to ``last`` owe:
+        what ticking them would have left (:meth:`_pay`, and for a spin
+        sleep :meth:`_shift`)."""
+        if not self._sleep_until or last <= self._settled:
+            return
+        cycles = last - self._settled
+        self._settled = last
+        self._pay(cycles)
+        if self._spin is not None:
+            self._shift(cycles)
+
+    def _pay(self, cycles: int) -> None:
+        """Re-apply the sleep ledger (and the D-cache's MSHR stall cycles)
+        once per slept cycle, in one pass."""
+        for counter, amount in self._sleep_ledger:
+            counter.value += amount * cycles
+        if self._sleep_mshr_stalls:
+            self.dcache.mshr_stall_cycles += self._sleep_mshr_stalls * cycles
+        self.slept_ticks += cycles
+
+    def _shift(self, periods: int) -> None:
+        """Shift a spin sleep's pipeline by ``periods`` periods.
 
         Every in-flight record moves its source values and stall cycle;
         it and every retired producer one still reads move their seq,
@@ -611,11 +652,7 @@ class Core:
         ``context.pc`` repeats every period.
         """
         spin = self._spin
-        if spin is None or last <= self._spin_at:
-            return
-        assert self.context is not None
-        periods = last - self._spin_at
-        self._spin_at = last
+        assert spin is not None and self.context is not None
         self.spun_ticks += periods
         seqs = spin[0] * periods
         addends = {reg: (step * periods) & MASK64 for reg, step in spin[1].items()}
@@ -636,6 +673,7 @@ class Core:
                 flight.value = (flight.value + addends[writes]) & MASK64
             if flight.ready_at is not None:
                 flight.ready_at += periods
+        self._horizon += periods
         self._seq += seqs
         self._last_progress += periods
         registers = self.context.registers.raw_values
@@ -653,21 +691,6 @@ class Core:
         if context is None or context.halted:
             return None
         return self._sleep_until or now
-
-    def skip(self, cycles: int, last: int) -> None:
-        """Stand in for ``cycles`` sleeping ticks ending at cycle ``last``
-        (one from :meth:`tick`, or a span the System jumped over while
-        :meth:`next_event` allowed it): re-apply the sleep ledger once
-        per cycle."""
-        self.now = last
-        context = self.context
-        if context is None or context.halted:
-            return
-        for counter, amount in self._sleep_ledger:
-            counter.value += amount * cycles
-        if self._sleep_mshr_stalls:
-            self.dcache.mshr_stall_cycles += self._sleep_mshr_stalls * cycles
-        self.slept_ticks += cycles
 
     def machine_snapshot(self) -> Dict[str, object]:
         """What a no-progress DeadlockError carries: every core on the bus
@@ -1002,8 +1025,10 @@ class Core:
                         f"issued {instr!r} with unknown operand values"
                     )
                 self._compute_value(flight)
-            flight.ready_at = now + latency
-            waiters = flight.waiters  # _record_ready, inlined for the issue loop
+            ready = flight.ready_at = now + latency
+            if ready > self._horizon:  # _record_ready, inlined for the issue loop
+                self._horizon = ready
+            waiters = flight.waiters
             if waiters is not None:
                 flight.waiters = None
                 woken.extend(waiters)
@@ -1019,6 +1044,8 @@ class Core:
         """Record the cycle ``flight``'s result is available to dependents,
         and wake the issue-queue entries parked on it."""
         flight.ready_at = cycle
+        if cycle > self._horizon:
+            self._horizon = cycle
         waiters = flight.waiters
         if waiters is not None:
             flight.waiters = None

@@ -13,6 +13,15 @@ from repro.memory.layout import Region
 class Device(abc.ABC):
     """Base class for bus targets with register decode helpers."""
 
+    #: True when :meth:`tick` integrates any gap exactly: a tick at bus
+    #: cycle ``a`` and then one at ``b`` leave what ticking every bus cycle
+    #: from ``a`` to ``b`` would, as long as nothing but those ticks changes
+    #: the device in between.  Only a bus transaction reaching it may.  The
+    #: System's clock driver then ticks it only on its first tick, at the
+    #: bus cycle before any transaction completes (one may reach it), and
+    #: when :meth:`~repro.sim.system.System.advance` returns.
+    integrates_gaps = False
+
     def __init__(self, region: Region, name: str = "") -> None:
         self.region = region
         self.name = name or type(self).__name__
@@ -60,11 +69,11 @@ class Device(abc.ABC):
         must run (None: never on its own).
 
         The System's clock jump skips bus cycles before it, then ticks the
-        device at the first and the last skipped bus cycle, so a device
-        whose tick integrates a gap exactly may return None.  A device that
-        does nothing per cycle never bounds the jump; one that overrides
-        :meth:`tick` is ticked every bus cycle unless it reports its next
-        timer.
+        device at the first and the last skipped bus cycle.  A device that
+        does nothing per cycle never bounds the jump, nor does one that
+        :attr:`integrates_gaps`; one that overrides :meth:`tick` is ticked
+        every bus cycle the clock driver does not jump, and bounds the jump
+        unless it reports its next timer.
         """
         if type(self).tick is Device.tick:
             return None

@@ -32,6 +32,8 @@ REG_DROPS = 0x18
 class DescriptorRing(Device):
     """A fixed-capacity descriptor queue drained at a constant service rate."""
 
+    integrates_gaps = True
+
     def __init__(
         self,
         region: Region,
@@ -79,11 +81,11 @@ class DescriptorRing(Device):
     def tick(self, bus_cycle: int) -> None:
         """Advance device time to ``bus_cycle``.
 
-        The system only ticks devices on bus-cycle boundaries that occur,
-        so elapsed gaps are handled here: occupancy is integrated over the
-        whole gap and service credit accrues for it.  Credit is cleared
-        whenever the ring is empty — an idle device does not bank
-        servicing for future descriptors.
+        Elapsed gaps are handled here: occupancy is integrated over the
+        whole gap and service credit accrues for it, so the System's clock
+        driver ticks the ring only when it must (:attr:`integrates_gaps`).
+        Credit is cleared whenever the ring is empty — an idle device does
+        not bank servicing for future descriptors.
         """
         if self._last_tick is None:
             elapsed = 1
@@ -112,8 +114,8 @@ class DescriptorRing(Device):
             self._service_credit = 0
 
     def next_event(self, bus_cycle: int) -> Optional[int]:
-        """Never: :meth:`tick` integrates any gap exactly, so ticks at a
-        span's first and last bus cycle equal a tick at every one."""
+        """Never: :meth:`tick` integrates any gap exactly, so a tick at a
+        span's last bus cycle equals a tick at every one."""
         return None
 
     def mean_occupancy(self) -> float:

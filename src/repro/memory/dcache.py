@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.common.bitops import block_base
 from repro.common.config import MemoryConfig

@@ -109,11 +109,27 @@ class CoreScheduler:
     def runnable(self) -> List[ProcessContext]:
         return [p for p in self._processes if not p.halted]
 
+    def waits(self) -> bool:
+        """True while :meth:`tick` cannot act; the System's clock driver
+        ticks the queue only otherwise.
+
+        That needs no quantum, so no switch or drain is ever pending, and
+        either a live context on the core or nothing to act on: no halt
+        of the context that ran left to note, and no runnable process to
+        install (``_num_runnable`` never counts fewer than there are).
+        """
+        if self.quantum is not None:
+            return False
+        context = self.core.context
+        if context is not None and not context.halted:
+            return True
+        return not (self._current_live or self._num_runnable)
+
     def tick(self, now: int) -> None:
         if self.held or not self._processes:
             return
-        # Hot path (once per simulated CPU cycle): one attribute load for
-        # the core, and the common no-quantum case falls straight through.
+        # Once per cycle under System.step; the clock driver skips the
+        # cycles it cannot act in (see waits).
         core = self.core
         # Waiting out the switch penalty?
         if self._switch_at is not None:
@@ -288,11 +304,16 @@ class Scheduler:
 
     @property
     def all_halted(self) -> bool:
-        # Hot: checked once per simulated CPU cycle by System.advance.
+        return self.live_process() is None
+
+    def live_process(self) -> Optional[ProcessContext]:
+        """The first process in add order that has not halted (None: every
+        one has).  System.advance keeps it and asks again only once it
+        halts: until then the machine cannot be finished."""
         for process in self._processes:
             if not process.halted:
-                return False
-        return True
+                return process
+        return None
 
     def runnable(self) -> List[ProcessContext]:
         return [p for p in self._processes if not p.halted]

@@ -168,6 +168,10 @@ class System:
             self.cores, self.config.quantum, self.config.switch_penalty
         )
         self.devices: List[Device] = []
+        # What the clock driver ticks of them (see advance): the devices
+        # that override ``tick``, split by whether it integrates gaps.
+        self._ticked_devices: List[Device] = []
+        self._gap_devices: List[Device] = []
         # Fault injection (repro.faults): a plan exists only when at least
         # one rate is nonzero, so fault-free runs keep every hook on its
         # ``faults is None`` fast path and stay byte-identical to a build
@@ -224,6 +228,10 @@ class System:
             raise ConfigError(f"device {device.name!r} must live in uncached space")
         self.targets.register(region, device)
         self.devices.append(device)
+        if device.integrates_gaps:
+            self._gap_devices.append(device)
+        elif type(device).tick is not Device.tick:
+            self._ticked_devices.append(device)
         device.faults = self.faults
         self.observability.wire_device(device)
         return device
@@ -281,50 +289,83 @@ class System:
         reaches ``max_cycles`` with work left, or when a feed returns True
         without adding any.
 
-        Every run of the simulator goes through this loop, so the component
-        ticks are bound once per call and ticked inline — cycle-for-cycle
-        identical to calling :meth:`step`, the readable reference
-        (tests/sim/test_clock_driver.py pins the equivalence).  The device
-        list is read by reference, so a device a feed attaches is ticked.
+        Every run of the simulator goes through this loop.  It leaves the
+        machine cycle-for-cycle as calling :meth:`step`, the readable
+        reference that ticks everything every cycle, would
+        (tests/sim/test_clock_driver.py pins the equivalence), but it
+        ticks only what is due:
 
-        While every core is asleep or has no live context, the loop jumps
-        the clock to the earliest cycle any component could act
-        (:meth:`_next_event`) instead of ticking through the wait; the
-        skipped cycles count as advanced and leave every simulated result
-        as ticking them would (:meth:`_skip`).
+        * every core, each cycle (a sleeping core's tick only moves its
+          clock; :meth:`~repro.cpu.core.Core.settle` pays for the sleep);
+        * a unit's ``tick_cpu`` only once a flush result is due
+          (``next_due``); before that the driver just moves the unit's
+          clock and the event clock, which the cores and the drain check
+          read;
+        * a run queue only while a quantum is set or its core has no live
+          context (and then only when it has something to act on,
+          :meth:`~repro.sim.scheduler.CoreScheduler.waits`): without a
+          quantum no switch or drain is ever pending;
+        * on bus cycles the arbiter and every device that overrides
+          ``tick``, except a device that :attr:`~repro.devices.base
+          .Device.integrates_gaps`: that one is ticked at its first bus
+          cycle here, at the bus cycle before a transaction completes
+          (when one may reach it) and at the last bus cycle when the
+          driver returns.
+
+        The device lists are read by reference, so a device a feed
+        attaches is ticked.  While every core is asleep or has no live
+        context, the loop jumps the clock to the earliest cycle any
+        component could act (:meth:`_next_event`) instead of ticking
+        through the wait; the skipped cycles count as advanced and leave
+        every simulated result as ticking them would (:meth:`_skip`).
         """
         scheduler = self.scheduler
         quiescent = self._quiescent
         cores = self.cores
-        unit_ticks = [unit.tick_cpu for unit in self.units]
-        core_ticks = [core.tick for core in cores]
+        units = self.units
         queues = scheduler.queues
-        scheduler_tick = queues[0].tick if len(queues) == 1 else scheduler.tick
+        core_ticks = [core.tick for core in cores]
         arbiter_tick = self.arbiter.tick_bus
-        devices = self.devices
+        bus = self.bus
+        ticked = self._ticked_devices
+        gapped = self._gap_devices
+        # Gap-integrating devices still due their first tick in this call,
+        # and the ones already ticked.
+        fresh: List[Device] = list(gapped)
+        lazy: List[Device] = []
+        events = self.observability.bus
         ratio = self.config.bus.cpu_ratio
         limit = max_cycles if until is None else min(until, max_cycles)
         start = cycle = self.cycle
+        bus_cycle = -1  # the last bus cycle ticked or jumped over
+        live = None  # a process known not to have halted
         landed = False  # the clock just jumped to a cycle something acts in
         try:
             while True:
-                if scheduler.all_halted and quiescent():
-                    if feed is None:
+                if live is None or live.halted:
+                    live = scheduler.live_process()
+                    if live is None and quiescent():
+                        if feed is None:
+                            break
+                        for device in lazy:
+                            device.tick(bus_cycle)
+                        self.cycle = cycle
+                        more = feed(self)
+                        start += self.cycle - cycle
+                        cycle = self.cycle
+                        if not more:
+                            break
+                        live = scheduler.live_process()
+                        if live is None:
+                            raise DeadlockError(
+                                "stream feed returned True without adding work",
+                                cycle=cycle,
+                            )
+                        fresh += gapped[len(fresh) + len(lazy):]
+                        events = self.observability.bus
+                if cycle >= limit:
+                    if until is not None and cycle >= until:
                         break
-                    self.cycle = cycle
-                    more = feed(self)
-                    start += self.cycle - cycle
-                    cycle = self.cycle
-                    if not more:
-                        break
-                    if scheduler.all_halted:
-                        raise DeadlockError(
-                            "stream feed returned True without adding work",
-                            cycle=cycle,
-                        )
-                if until is not None and cycle >= until:
-                    break
-                if cycle >= max_cycles:
                     raise DeadlockError(
                         f"exceeded max_cycles={max_cycles}",
                         cycle=cycle,
@@ -341,46 +382,82 @@ class System:
                     else:
                         target = self._next_event(cycle, limit)
                         if target > cycle:
-                            self._skip(cycle, target)
+                            bus_cycle = self._skip(
+                                cycle, target, fresh, lazy, bus_cycle
+                            )
                             cycle = target
                             landed = True
                             continue
-                for tick in unit_ticks:
-                    tick(cycle)
+                if events is not None:
+                    events.now = cycle
+                for unit in units:
+                    if unit.next_due <= cycle:
+                        unit.tick_cpu(cycle)
+                    else:
+                        unit._now = cycle
                 if cycle % ratio == 0:
                     bus_cycle = cycle // ratio
+                    if lazy:  # a completing transaction may reach one
+                        due = bus.next_completion
+                        if due is not None and due <= bus_cycle:
+                            for device in lazy:
+                                device.tick(bus_cycle - 1)
                     arbiter_tick(bus_cycle)
-                    for device in devices:
+                    for device in ticked:
                         device.tick(bus_cycle)
+                    if fresh:
+                        for device in fresh:
+                            device.tick(bus_cycle)
+                        lazy += fresh
+                        fresh.clear()
                 for tick in core_ticks:
                     tick(cycle)
-                scheduler_tick(cycle)
+                for queue in queues:
+                    if queue.quantum is None:
+                        context = queue.core.context
+                        if context is not None and not context.halted:
+                            continue  # CoreScheduler.waits' common case
+                        if queue.waits():
+                            continue
+                    queue.tick(cycle)
                 cycle += 1
         finally:
             self.cycle = cycle
+            for device in lazy:
+                device.tick(bus_cycle)
             for core in cores:
                 core.settle()
         return cycle - start
 
     def _next_event(self, cycle: int, limit: int) -> int:
         """The earliest cycle, from ``cycle`` on and at most ``limit``, at
-        which any component could act while every core waits: each answers
-        for itself and the clock driver jumps to the minimum.
+        which any component could act while every core waits: each one
+        that could answers for itself and the clock driver jumps to the
+        minimum.
 
         That is a sleeping core's wake cycle, a unit's next flush result,
-        a run queue's switch or quantum end, the cycle after a D-cache fill
-        lands (the driver's drain check installs it, and may queue a
-        write-back), and — on bus cycles — the bus arbiter's next
-        completion or useful grant poll and the devices' timers.  Written
-        as plain loops: it runs once per jump, and a jump saves only a few
-        cheap sleeping ticks.
+        a run queue's switch or quantum end (only a queue whose tick can
+        act, :meth:`~repro.sim.scheduler.CoreScheduler.waits`), the cycle
+        after a D-cache fill lands (the driver's drain check installs it,
+        and may queue a write-back), and — on bus cycles — the bus
+        arbiter's next completion or useful grant poll and the timers of
+        the devices ticked every bus cycle.  Written as plain loops: it
+        runs once per jump, and a jump saves only a few cheap sleeping
+        ticks.
         """
         target = limit
-        timed: Tuple[_Timed, ...] = (*self.cores, *self.units, *self.scheduler.queues)
-        for component in timed:
-            wake = component.next_event(cycle)
+        for core in self.cores:
+            wake = core.next_event(cycle)
             if wake is not None and wake < target:
                 target = wake
+        for unit in self.units:
+            if unit.next_due < target:
+                target = unit.next_due
+        for queue in self.scheduler.queues:
+            if not queue.waits():
+                wake = queue.next_event(cycle)
+                if wake is not None and wake < target:
+                    target = wake
         if self.dcaches:
             drained = self.units[0]._now  # what _quiescent drained fills up to
             for dcache in self.dcaches:
@@ -390,32 +467,56 @@ class System:
         ratio = self.config.bus.cpu_ratio
         bus_cycle = -(-cycle // ratio)  # the first bus cycle from ``cycle`` on
         if bus_cycle * ratio < target:
-            timed = (self.arbiter, *self.devices)
+            timed: Tuple[_Timed, ...] = (self.arbiter, *self._ticked_devices)
             for component in timed:
                 wake = component.next_event(bus_cycle)
                 if wake is not None and wake * ratio < target:
                     target = wake * ratio
         return target if target > cycle else cycle
 
-    def _skip(self, cycle: int, target: int) -> None:
+    def _skip(
+        self,
+        cycle: int,
+        target: int,
+        fresh: List[Device],
+        lazy: List[Device],
+        bus_cycle: int,
+    ) -> int:
         """Jump the clock from ``cycle`` to ``target``, leaving the machine
         as ticking cycles ``cycle .. target - 1`` would (no component acts
-        in them, :meth:`_next_event`): sleeping cores re-apply their sleep
-        ledgers, the clocks components read move to ``target - 1``, and
-        devices tick at the first and the last skipped bus cycle."""
+        in them, :meth:`_next_event`), and return the last bus cycle
+        jumped over (``bus_cycle`` when there is none).
+
+        The clocks components read move to ``target - 1``: the sleeping
+        cores' (each pays for its sleep when it settles), the units' and
+        the event clock.  The devices ticked every bus cycle tick at the
+        first and the last skipped bus cycle; a gap-integrating device
+        still due its first tick (``fresh``) gets it at the first one and
+        joins ``lazy``.
+        """
         last = target - 1
         for core in self.cores:
-            core.skip(target - cycle, last)
+            core.now = last
         for unit in self.units:
-            unit.tick_cpu(last)  # no flush result falls due before target
+            unit._now = last  # no flush result falls due before target
+        events = self.observability.bus
+        if events is not None:
+            events.now = last
         ratio = self.config.bus.cpu_ratio
         first_bus, last_bus = -(-cycle // ratio), last // ratio
-        if first_bus <= last_bus:
-            for device in self.devices:
-                device.tick(first_bus)
-                if last_bus != first_bus:
-                    device.tick(last_bus)
         self.jumped_cycles += target - cycle
+        if first_bus > last_bus:
+            return bus_cycle
+        for device in self._ticked_devices:
+            device.tick(first_bus)
+            if last_bus != first_bus:
+                device.tick(last_bus)
+        if fresh:
+            for device in fresh:
+                device.tick(first_bus)
+            lazy += fresh
+            fresh.clear()
+        return last_bus
 
     def run(self, max_cycles: int = 5_000_000) -> StatsCollector:
         """Run until every process has halted and all I/O has drained."""

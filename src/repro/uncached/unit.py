@@ -32,6 +32,9 @@ from repro.uncached.csb import ConditionalStoreBuffer, FlushResult
 
 ValueCallback = Callable[[int, int], None]  # (value, cpu_cycle)
 
+#: ``next_due`` while no flush result is scheduled.
+_NEVER = 1 << 62
+
 
 class UncachedUnit:
     """Glue between the core's retire stage and the uncached hardware."""
@@ -69,6 +72,10 @@ class UncachedUnit:
         self.csb_invalidate = None
         # (due_cpu_cycle, callback, value) for CSB flush results.
         self._scheduled: List[Tuple[int, ValueCallback, int]] = []
+        #: CPU cycle the earliest scheduled flush result falls due: before
+        #: it :meth:`tick_cpu` only moves the unit's clock, so the System's
+        #: clock driver calls it only from then on.
+        self.next_due = _NEVER
         # Sequence number attached to the oldest pending CSB burst.
         self._csb_burst_seqs: List[int] = []
         self._csb_store_stalls = stats.handle("csb.store_stalls")
@@ -155,6 +162,8 @@ class UncachedUnit:
                 value = 0
             due = self._now + self.csb_config.flush_latency
             self._scheduled.append((due, callback, value))
+            if due < self.next_due:
+                self.next_due = due
             return True
         if attr is PageAttr.UNCACHED:
             return self._issue_uncached_swap(address, expected, callback)
@@ -222,19 +231,19 @@ class UncachedUnit:
             # First component ticked each cycle: advance the shared event
             # clock so every event this cycle is stamped consistently.
             self.events.now = cpu_cycle
-        if self._scheduled:
+        if self.next_due <= cpu_cycle:
             due_now = [item for item in self._scheduled if item[0] <= cpu_cycle]
-            if due_now:
-                self._scheduled = [i for i in self._scheduled if i[0] > cpu_cycle]
-                for _, callback, value in due_now:
-                    callback(value, cpu_cycle)
+            self._scheduled = [i for i in self._scheduled if i[0] > cpu_cycle]
+            self.next_due = min((i[0] for i in self._scheduled), default=_NEVER)
+            for _, callback, value in due_now:
+                callback(value, cpu_cycle)
 
     def next_event(self, cpu_cycle: int) -> Optional[int]:
         """CPU cycle the next flush result falls due (None: none pending);
         :meth:`tick_cpu` changes nothing else (the System's clock jump)."""
         if not self._scheduled:
             return None
-        return max(cpu_cycle, min(item[0] for item in self._scheduled))
+        return max(cpu_cycle, self.next_due)
 
     def next_poll(self, bus_cycle: int) -> Optional[int]:
         """Earliest bus cycle, from ``bus_cycle`` on, at which a grant poll

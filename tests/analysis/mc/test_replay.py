@@ -8,7 +8,6 @@ and memory equal to the spec after every abstract op.
 import pytest
 
 from repro.analysis.mc import (
-    Budget,
     get_test,
     replay_schedule,
     replay_test,

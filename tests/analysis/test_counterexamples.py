@@ -98,7 +98,6 @@ class TestPromotionPath:
             BranchNZ,
             Halt,
             LockSwap,
-            SetReg,
             SpecMachine,
             spec_program,
         )

@@ -77,6 +77,21 @@ def run_signature(system: System) -> dict:
     }
 
 
+def ring_state(ring) -> tuple:
+    """A descriptor ring's counters and its occupancy integral, for
+    comparing a ring the clock driver ticked lazily with one ticked every
+    bus cycle."""
+    return (
+        ring.ticks,
+        ring.occupancy_integral,
+        ring.pending,
+        ring.enqueued,
+        ring.drained,
+        ring.high_water,
+        ring.drops,
+    )
+
+
 def registry_targets() -> dict:
     """The shipped-kernel lint registry, walked once: ``name -> target``.
 

@@ -14,6 +14,8 @@ from repro.devices.ring import (
 )
 from repro.memory.layout import PageAttr, Region
 
+from tests.conftest import ring_state
+
 
 def make_ring(capacity=4, service_cycles=10):
     region = Region(0x3010_0000, 0x1000, PageAttr.UNCACHED, "ring")
@@ -168,3 +170,75 @@ class TestGapProperty:
             ends.tick(last)
         assert self.state(ends) == self.state(every)
         assert ends.mean_occupancy() == every.mean_occupancy()
+
+
+class TestLazyTicking:
+    """A ring the System's clock driver ticks lazily — at its first tick,
+    at the bus cycle before each transaction reaches it, and at the end —
+    ends as one ticked at every bus cycle, and reads back the same values
+    along the way (:attr:`DescriptorRing.integrates_gaps`)."""
+
+    @staticmethod
+    def drive(schedule, first, last, lazy):
+        """Bus cycles ``first .. last``; ``schedule`` maps a bus cycle to
+        the accesses landing in it: ``None`` a write, an offset a read.
+        As in a System, the accesses of a cycle land before its tick."""
+        ring = make_ring(capacity=3, service_cycles=6)
+        reads = []
+        for cycle in range(first, last + 1):
+            accesses = schedule.get(cycle, ())
+            if lazy and accesses and cycle > first:
+                ring.tick(cycle - 1)
+            for offset in accesses:
+                if offset is None:
+                    ring.handle_write(0, b"\0" * 8)
+                else:
+                    reads.append((cycle, read_reg(ring, offset)))
+            if not lazy or cycle == first:
+                ring.tick(cycle)
+        if lazy:
+            ring.tick(last)
+        return ring_state(ring), reads
+
+    @pytest.mark.parametrize(
+        "schedule, first, last",
+        [
+            # written and read after long untouched spans
+            (
+                {
+                    5: [None, None],
+                    6: [None, None, REG_DROPS],
+                    400: [REG_PENDING, None],
+                    1_900: [None, REG_DRAINED, REG_ENQUEUED],
+                },
+                5,
+                3_000,
+            ),
+            # first written mid-run, then read back at once
+            ({2_000: [None] * 5, 2_001: [REG_PENDING, REG_DROPS]}, 0, 2_500),
+            # accessed in the first cycle and the last
+            ({7: [None] * 4 + [REG_PENDING], 90: [None, REG_DRAINED]}, 7, 90),
+        ],
+        ids=["long-spans", "first-written-mid-run", "edges"],
+    )
+    def test_lazy_equals_every_cycle(self, schedule, first, last):
+        every = self.drive(schedule, first, last, lazy=False)
+        assert self.drive(schedule, first, last, lazy=True) == every
+        assert every[0][6] > 0  # drops: the ring overflowed
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_schedules(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        schedule = {}
+        for _ in range(rng.randrange(1, 30)):
+            cycle = rng.randrange(0, 2_000)
+            schedule.setdefault(cycle, []).extend(
+                rng.choice([None, None, REG_PENDING, REG_DRAINED, REG_DROPS])
+                for _ in range(rng.randrange(1, 4))
+            )
+        first = rng.randrange(0, min(schedule) + 1)
+        last = max(schedule) + rng.randrange(0, 500)
+        every = self.drive(schedule, first, last, lazy=False)
+        assert self.drive(schedule, first, last, lazy=True) == every

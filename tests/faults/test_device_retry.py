@@ -22,7 +22,7 @@ from repro.devices.dma import DmaEngine
 from repro.devices.link import Link
 from repro.devices.nic import NetworkInterface
 from repro.evaluation.fault_sweep import fault_sweep_system
-from repro.faults import FaultConfig, FaultPlan
+from repro.faults import FaultConfig
 from repro.isa.assembler import assemble
 from repro.memory.backing import BackingStore
 from repro.memory.layout import (

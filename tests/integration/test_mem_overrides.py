@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.config import MemoryConfig, SamplingConfig
+from repro.common.config import SamplingConfig
 from repro.evaluation.cli import _make_runner, _mem_from_args, _parser
 from repro.evaluation.runner import SimJob, SweepRunner, job_key
 from repro.workloads.random_programs import (

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.config import MemoryConfig
 from repro.common.errors import ConfigError
-from repro.memory.dcache import DataCache, DLineState, wire_peers
+from repro.memory.dcache import DataCache, wire_peers
 
 
 def tiny(assoc=2, sets=2, line=64, mshrs=2, policy="writeback"):

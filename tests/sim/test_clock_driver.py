@@ -34,7 +34,7 @@ from repro.workloads.traces.compile import (
 from repro.workloads.traces.replay import TraceReplay
 from repro.workloads.traces.synth import parse_synth_spec, synthesize
 
-from tests.conftest import make_config, run_signature
+from tests.conftest import make_config, ring_state, run_signature
 
 MAX_CYCLES = 2_000_000
 SYNTH = "synth:n=48,seed=5,gap=300,devices=2,skew=1.0,sizes=8:3/64:1"
@@ -209,3 +209,115 @@ def test_two_core_streamed_replay(monkeypatch):
         reference = replay()
     assert driven == reference
     assert driven["windows"] == 6
+
+
+# -- gap-integrating devices, ticked lazily ------------------------------------
+
+
+def _ring_kernel(base, lead=0, span=3_000):
+    """Stores into the ring at ``base`` and reads its registers back; each
+    burst follows a register-only countdown of ``span`` trips, long spans
+    no transaction touches (the core spins and the driver jumps them).
+    A ``lead`` countdown first makes the ring's first write come mid-run."""
+
+    def wait(label, trips):
+        return [
+            f"set {trips}, %l6",
+            f".{label}:",
+            "sub %l6, 1, %l6",
+            f"brnz %l6, .{label}",
+        ]
+
+    lines = [f"set {base}, %o0", "set 1, %l0"]
+    if lead:
+        lines += wait("LEAD", lead)
+    lines += ["stx %l0, [%o0]"] * 4
+    lines += wait("GAP1", span)
+    lines += ["ldx [%o0+8], %l1", "stx %l0, [%o0]", "ldx [%o0], %l2"]
+    lines += wait("GAP2", span)
+    lines += ["ldx [%o0+16], %l3", "ldx [%o0+24], %l4", "halt"]
+    return "\n".join(lines)
+
+
+def _lazy_ring_system(lead=0):
+    """One core and one small ring that overflows and drains."""
+    system = System(SystemConfig())
+    base, size = ring_region(0)
+    region = Region(base, size, PageAttr.UNCACHED, "ring0")
+    ring = DescriptorRing(region, capacity=2, service_cycles=16, name="ring0")
+    system.attach_device(ring)
+    system.add_process(assemble(_ring_kernel(base, lead), name="ring"))
+    return system, ring
+
+
+def _ring_run(system, ring):
+    """The run signature, the ring's state and the registers the program
+    read the ring's counters into."""
+    signature = run_signature(system)
+    signature["ring"] = ring_state(ring)
+    signature["registers"] = [
+        process.registers.snapshot() for process in system.scheduler.processes
+    ]
+    return signature
+
+
+@pytest.mark.parametrize(
+    "lead", [0, 2_000], ids=["long-spans", "first-written-mid-run"]
+)
+def test_lazy_ring_matches_stepping(lead):
+    driven, ring = _lazy_ring_system(lead)
+    calls = []
+    tick = ring.tick
+    ring.tick = lambda bus_cycle: calls.append(bus_cycle) or tick(bus_cycle)
+    driven.run(max_cycles=MAX_CYCLES)
+    reference, reference_ring = _lazy_ring_system(lead)
+    stepped(reference)
+    assert _ring_run(driven, ring) == _ring_run(reference, reference_ring)
+    assert driven.jumped_cycles > 5_000
+    assert reference_ring.drops > 0 and reference_ring.drained > 0
+    # Its first tick, one before each of the nine transactions, the end.
+    assert len(calls) <= 11 < ring.ticks
+
+
+def test_lazy_ring_read_back_when_advance_returns_mid_span():
+    # Each ``until`` falls inside a countdown (or a burst): the ring reads
+    # back as ticking every bus cycle up to that point left it.
+    driven, ring = _lazy_ring_system()
+    reference, reference_ring = _lazy_ring_system()
+    for until in (50, 1_000, 2_999, 3_400, 5_000, 6_000):
+        driven.advance(until=until, max_cycles=MAX_CYCLES)
+        stepped(reference, until=until)
+        assert driven.cycle == reference.cycle == until
+        assert ring_state(ring) == ring_state(reference_ring)
+        assert run_signature(driven) == run_signature(reference)
+    driven.run(max_cycles=MAX_CYCLES)
+    stepped(reference)
+    assert _ring_run(driven, ring) == _ring_run(reference, reference_ring)
+
+
+def test_lazy_ring_read_back_after_a_feed_clock_jump():
+    # The feed reads the ring when the machine is finished, jumps the clock
+    # over an idle gap and adds a program that writes and reads it again:
+    # the gap integrates into the ring, lazily or ticked.
+    def build():
+        system, ring = _lazy_ring_system()
+        seen = []
+        base = ring.region.base
+
+        def feed(system):
+            seen.append((system.cycle, ring_state(ring)))
+            if len(seen) > 2:
+                return False
+            system.cycle += 4_000  # an idle gap, skipped while drained
+            system.add_process(assemble(_ring_kernel(base, span=500)))
+            return True
+
+        return system, ring, seen, feed
+
+    driven, ring, seen, feed = build()
+    driven.advance(feed=feed, max_cycles=MAX_CYCLES)
+    reference, reference_ring, reference_seen, reference_feed = build()
+    stepped(reference, feed=reference_feed)
+    assert seen == reference_seen
+    assert _ring_run(driven, ring) == _ring_run(reference, reference_ring)
+    assert len(seen) == 3

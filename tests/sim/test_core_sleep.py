@@ -23,10 +23,17 @@ stage replaced by :func:`scanning_memq`, the stage that walks all of
 ``_memq``, kept verbatim; with spin sleeping off (``Core._spinning``, the
 spin trigger, monkeypatched to say no); and with all of these off and
 the dispatch and retire stages replaced by the chains the decode-bound
-handlers replaced (:data:`CHAINED`, kept verbatim).  The cycle count,
-every counter, the marks, the transaction records, the metrics snapshot,
-the pipeline trace and each process's pc, retired count and registers
-must agree exactly.
+handlers replaced (:data:`CHAINED`, kept verbatim), along with the
+sleep bookkeeping the O(1) probe and the lazy ledger replaced
+(:data:`PER_ENTRY`, kept verbatim).  The cycle count, every counter, the
+marks, the transaction records, the metrics snapshot, the pipeline trace
+and each process's pc, retired count and registers must agree exactly.
+
+The last section runs cases as shipped and with :data:`PER_ENTRY` with
+sleeping on: at every probed quiet tick equal O(1) probe states must
+come with equal per-entry snapshots, and the results, each core's
+``slept_ticks`` and ``spun_ticks``, the jumped cycles and a
+``DeadlockError``'s snapshot must equal the per-tick ledger's.
 
 Those runs attach a pipeline trace, which turns spin sleeping off.  The
 spinning-core section therefore runs with the trace off, each case twice:
@@ -85,7 +92,12 @@ from repro.workloads.storebw import store_kernel_uncached
 from repro.workloads.traces.compile import ring_region
 from repro.workloads.traces.replay import TraceReplay
 
-from tests.conftest import make_config, registry_targets, run_signature
+from tests.conftest import (
+    make_config,
+    registry_targets,
+    ring_state,
+    run_signature,
+)
 
 _TARGETS = registry_targets()
 
@@ -109,6 +121,122 @@ def _never_spinning(self):
 def _never_jump(self, cycle, limit):
     """Stand-in for ``System._next_event``: the clock never jumps."""
     return cycle
+
+
+# -- the bookkeeping the O(1) probe and the lazy ledger replaced -----------------
+#
+# Kept verbatim as references: the quiet probe's per-entry memory-queue
+# snapshot, the wake cycle's ROB walk on every sleep, and the per-tick
+# ledger (each sleeping tick, and each jumped span, re-applied the ledger
+# as it passed).  :data:`PER_ENTRY` patches them in.
+
+
+def snapshot_pipeline_state(self) -> tuple:
+    """Everything a tick can change besides stall counters.
+
+    Dispatch, issue and retirement move the first three fields (and
+    with them every undo record); every other transition (cache
+    access, store commit readiness, uncached issue, atomics at the
+    head) is a memory-queue entry changing state.  Parking and merging
+    woken entries move the issue-queue length, and a producer that
+    wakes parked entries changes one of the above.
+    """
+    return (
+        self._seq,
+        self._issued,
+        len(self._rob),
+        len(self._issueq),
+        self._last_progress,
+        self._interrupt_pending,
+        self._drain_requested,
+        self._fetch_stopped,
+        self._link,
+        [
+            (f.mem_state, f.ready_at, f.value_known, f.cache_issued)
+            for f in self._memq
+        ],
+    )
+
+
+def walking_wake_cycle(self, now: int) -> int:
+    """Earliest cycle after ``now`` at which a timer the pipeline
+    compares against could flip a decision.
+
+    That is the watchdog horizon, the future ``ready_at`` of ROB
+    entries and, with the D-cache on, the next MSHR fill.  Producer
+    ready cycles, issue-queue ``stall_until`` hints and parked entries
+    need no scan of their own: a retired producer's result was ready by
+    its retirement, and a producer still in flight is a ROB entry.
+    """
+    wake = self._last_progress + 50_001  # the no-progress watchdog
+    for flight in self._rob:
+        ready = flight.ready_at
+        if ready is not None and now < ready < wake:
+            wake = ready
+    if self.dcache is not None:
+        fill = self.dcache.next_fill(now)
+        if fill is not None and fill < wake:
+            wake = fill
+    return wake
+
+
+def per_tick_skip(self, cycles: int, last: int) -> None:
+    """Stand in for ``cycles`` sleeping ticks ending at cycle ``last``
+    (one from :meth:`tick`, or a span the System jumped over while
+    :meth:`next_event` allowed it): re-apply the sleep ledger once
+    per cycle."""
+    self.now = last
+    context = self.context
+    if context is None or context.halted:
+        return
+    for counter, amount in self._sleep_ledger:
+        counter.value += amount * cycles
+    if self._sleep_mshr_stalls:
+        self.dcache.mshr_stall_cycles += self._sleep_mshr_stalls * cycles
+    self.slept_ticks += cycles
+
+
+_shipped_tick = Core.tick
+_shipped_jump = System._skip
+
+
+def _paid_per_tick(self, cycles):
+    """Stand-in for ``Core._pay``: :func:`per_tick_skip` paid each slept
+    cycle as it passed."""
+
+
+def per_tick_ledger_tick(self, now):
+    """``Core.tick`` with the per-tick ledger: a sleeping tick pays its
+    cycle (:func:`per_tick_skip`)."""
+    context = self.context
+    sleeping = (
+        context is not None
+        and not context.halted
+        and self._sleep_until
+        and now < self._sleep_until
+        and (self._bus.accepted == self._sleep_bus_mark or self._spin is not None)
+    )
+    _shipped_tick(self, now)
+    if sleeping:
+        per_tick_skip(self, 1, now)
+
+
+def per_tick_ledger_jump(self, cycle, target, *lists):
+    """``System._skip`` with the per-tick ledger: every core pays the
+    jumped span first (:func:`per_tick_skip`)."""
+    for core in self.cores:
+        per_tick_skip(core, target - cycle, target - 1)
+    return _shipped_jump(self, cycle, target, *lists)
+
+
+#: (owner, name) -> the reference patched in for it.
+PER_ENTRY = {
+    (Core, "_pipeline_state"): snapshot_pipeline_state,
+    (Core, "_wake_cycle"): walking_wake_cycle,
+    (Core, "_pay"): _paid_per_tick,
+    (Core, "tick"): per_tick_ledger_tick,
+    (System, "_skip"): per_tick_ledger_jump,
+}
 
 
 def scanning_issue(self, now: int) -> None:
@@ -636,13 +764,13 @@ def _both(monkeypatch, run):
     scanning issue stage, the shipped code with the scanning memory-queue
     stage, the shipped code with spin sleeping off, and a run with
     sleeping, spinning, the jump, parking and the memory-queue lists all
-    off and the chained dispatch and retire stages (:data:`CHAINED`) in
-    place of the decode-bound handlers; the first four must equal the
-    shipped run.  The spin-off
-    reference runs only when a system has no pipeline trace: a trace
-    turns spin sleeping off, which makes that run the shipped one.  The
-    result is the all-off signature, the shipped one and the shipped
-    run's systems.
+    off, the chained dispatch and retire stages (:data:`CHAINED`) in
+    place of the decode-bound handlers and the replaced sleep
+    bookkeeping (:data:`PER_ENTRY`); the first four must equal the
+    shipped run.  The spin-off reference runs only when a system has no
+    pipeline trace: a trace turns spin sleeping off, which makes that
+    run the shipped one.  The result is the all-off signature, the
+    shipped one and the shipped run's systems.
     """
     with monkeypatch.context() as patch:
         patch.setattr(Core, "_try_sleep", _never_sleep)
@@ -652,6 +780,8 @@ def _both(monkeypatch, run):
         patch.setattr(Core, "_memq_issue", scanning_memq)
         for name, reference in CHAINED.items():
             patch.setattr(Core, name, reference, raising=False)
+        for (owner, name), reference in PER_ENTRY.items():
+            patch.setattr(owner, name, reference)
         awake, awake_systems = run()
     assert _slept(awake_systems) == _jumped(awake_systems) == 0
     assert _parked(awake_systems) == 0
@@ -1427,3 +1557,171 @@ def test_trace_events_identical_with_spinning(monkeypatch):
     assert spun == ticked
     assert ticked[0].count("\n") > 100
     assert any(sleeps)
+
+
+# -- the O(1) probe, the walk-free wake cycle and the lazy ledger ---------------
+
+
+def _sleep_counts(systems):
+    """Each core's host-side sleep counts, and each system's jumped cycles."""
+    return [
+        (
+            [(core.slept_ticks, core.spun_ticks) for core in system.cores],
+            system.jumped_cycles,
+        )
+        for system in systems
+    ]
+
+
+def _checking_probes(patch, quiet):
+    """Patch the shipped quiet probe to also take the per-entry snapshot,
+    and record, at every probed tick that came out quiet by the O(1)
+    state, whether the snapshot came out equal too."""
+    shipped_probe = Core._quiet_probe
+    shipped_sleep = Core._try_sleep
+
+    def probe(self):
+        return shipped_probe(self), snapshot_pipeline_state(self)
+
+    def try_sleep(self, now, probe):
+        probe, snapshot = probe
+        if self._pipeline_state() == probe[0]:
+            quiet.append(snapshot_pipeline_state(self) == snapshot)
+        shipped_sleep(self, now, probe)
+
+    patch.setattr(Core, "_quiet_probe", probe)
+    patch.setattr(Core, "_try_sleep", try_sleep)
+
+
+def _against_per_entry(monkeypatch, run):
+    """``run()`` as shipped, checking at every probed quiet tick that equal
+    O(1) states imply equal per-entry snapshots, and with the replaced
+    bookkeeping (:data:`PER_ENTRY`): the signatures and the host-side
+    sleep counts must be equal.  Returns the shipped signature, its
+    systems and the number of probed quiet ticks."""
+    quiet: List[bool] = []
+    with monkeypatch.context() as patch:
+        _checking_probes(patch, quiet)
+        shipped, systems = run()
+    assert all(quiet), f"{quiet.count(False)} of {len(quiet)} quiet ticks"
+    with monkeypatch.context() as patch:
+        for (owner, name), reference in PER_ENTRY.items():
+            patch.setattr(owner, name, reference)
+        reference, reference_systems = run()
+    assert shipped == reference
+    assert _sleep_counts(systems) == _sleep_counts(reference_systems)
+    return shipped, systems, len(quiet)
+
+
+@pytest.mark.parametrize("name", sorted(_TARGETS))
+def test_registry_target_o1_probe_and_lazy_ledger(monkeypatch, name):
+    target = _TARGETS[name]
+    config = make_config(line_size=target.context.line_size)
+    window = POLLING_WINDOW if name.startswith(POLLING_PREFIXES) else None
+    _against_per_entry(monkeypatch, _program_run(target.source, config, window))
+
+
+@pytest.mark.parametrize("cores", [2, 4, 8])
+@pytest.mark.parametrize("kind", ["lock", "csb"])
+def test_smp_contention_o1_probe_and_lazy_ledger(monkeypatch, kind, cores):
+    def run():
+        system = smp_contention_system(kind, cores)
+        system.run(max_cycles=MAX_CYCLES)
+        return _signature(system), [system]
+
+    _, systems, quiet = _against_per_entry(monkeypatch, run)
+    assert quiet > 0 and _slept(systems) > 0
+
+
+@pytest.mark.parametrize("discipline", ["uncached", "lock", "csb"])
+def test_two_core_streamed_replay_o1_probe_and_lazy_ledger(monkeypatch, discipline):
+    workload = TraceWorkload(
+        name="ledger",
+        source="synth:n=80,seed=1,gap=20,devices=4,skew=1.0,sizes=8:3/64:1",
+        discipline=discipline,
+    )
+
+    def run():
+        replay = TraceReplay(workload, SystemConfig(num_cores=2), 50_000_000)
+        result = replay.run()
+        signature = _signature(replay.system)
+        signature["latency"] = result.latency
+        signature["rings"] = [ring_state(ring) for ring in result.rings]
+        return signature, [replay.system]
+
+    _, systems, quiet = _against_per_entry(monkeypatch, run)
+    assert quiet > 0 and _slept(systems) > 0
+
+
+def _misses_behind_uncached_stores(loads):
+    """Uncached stores that back up behind the bus, then cached loads that
+    miss: the loads' accesses complete behind the stalled ROB head, in
+    ticks that otherwise change nothing."""
+    stores = [f"stx %l0, [%o1+{k * 8}]" for k in range(12)]
+    body = [f"ldx [%o0+{i * 64}], %l{1 + i % 6}" for i in range(loads)]
+    setup = ["set 0x8000, %o0", f"set {IO_UNCACHED_BASE}, %o1"]
+    return "\n".join([*setup, *stores, *body, "halt"])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        make_config(cpu_ratio=6),
+        SystemConfig(mem=MemoryConfig(enabled=True, mshrs=2)),
+    ],
+    ids=["blocking-cache", "dcache"],
+)
+def test_accesses_completing_behind_a_stalled_head(monkeypatch, config):
+    # Only the in-flight access list's length tells such a tick from a
+    # quiet one: no entry that changes is the ROB head.
+    run = _program_run(_misses_behind_uncached_stores(6), config)
+    _, systems, quiet = _against_per_entry(monkeypatch, run)
+    assert quiet > 0 and _slept(systems) > 0
+
+
+def _deadlocked(build, max_cycles):
+    def run():
+        system = build()
+        with pytest.raises(DeadlockError) as caught:
+            system.run(max_cycles=max_cycles)
+        error = caught.value
+        signature = {
+            "error": (error.cycle, str(error)),
+            "snapshot": error.snapshot,
+            "run": _signature(system),
+        }
+        return signature, [system]
+
+    return run
+
+
+def _two_cores_nacked():
+    """Two cores storing into a bus that refuses every transaction: both
+    sleep on a full uncached buffer until one's watchdog fires."""
+    config = make_config(num_cores=2, faults=FaultConfig(seed=1, bus_nack_rate=1.0))
+    system = System(config)
+    system.add_process(assemble(store_kernel_uncached(256)), core_id=0)
+    system.add_process(assemble(store_kernel_uncached(64)), core_id=1)
+    return system
+
+
+@pytest.mark.parametrize(
+    "build, max_cycles",
+    [
+        (_nack_everything, MAX_CYCLES),  # the watchdog fires
+        (_nack_everything, 30_000),  # max_cycles, while the core sleeps
+        (_two_cores_nacked, MAX_CYCLES),  # one watchdog, one core asleep
+    ],
+    ids=["watchdog", "max-cycles", "two-cores"],
+)
+def test_deadlock_snapshot_equals_the_per_tick_ledger(monkeypatch, build, max_cycles):
+    # The snapshot settles every core first, so its slept_ticks (and the
+    # counters the run leaves) are what the per-tick ledger had paid.
+    signature, systems, _ = _against_per_entry(
+        monkeypatch, _deadlocked(build, max_cycles)
+    )
+    cores = signature["snapshot"]["cores"]
+    assert [core["slept_ticks"] for core in cores] == [
+        core.slept_ticks for core in systems[0].cores
+    ]
+    assert sum(core["slept_ticks"] for core in cores) > 20_000
