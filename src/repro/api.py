@@ -223,12 +223,10 @@ def run_experiment(
     every simulation point's own configuration, a full SystemConfig
     (which pins *every* section — it collapses a sweep's varying
     dimension, so overrides mappings are usually what you want), or
-    None.  Overrides ride on the runner, so they reach sweep-style
-    experiments; a study that runs outside the runner cannot take them
-    and raises :class:`ConfigError` when given a config.
+    None.  Overrides ride on the runner, so they reach every simulation
+    point of every experiment.
     """
     from repro.common.serialize import config_to_dict
-    from repro.evaluation.experiments import ignores_runner
     from repro.evaluation.experiments import run_experiment as _run
     from repro.evaluation.runner import default_runner
 
@@ -244,11 +242,6 @@ def run_experiment(
             )
         # Fail fast on unknown sections/fields before any simulation runs.
         apply_overrides(SystemConfig(), overrides)
-        if ignores_runner(experiment_id):
-            raise ConfigError(
-                f"{experiment_id} runs outside the sweep runner and "
-                "cannot take a config"
-            )
         if runner is None:
             runner = default_runner()
         runner.overrides = overrides

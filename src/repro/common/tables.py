@@ -88,41 +88,6 @@ class Table:
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
 
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe document that :meth:`from_dict` restores exactly.
-
-        Cell types survive the round trip (JSON keeps int/float/str/None
-        distinct), so a restored table renders byte-identically.
-        """
-        return {
-            "title": self.title,
-            "columns": list(self.columns),
-            "rows": [list(row) for row in self.rows],
-        }
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, object]) -> "Table":
-        """Rebuild a table from :meth:`to_dict` output, validating shape."""
-        title = document["title"]
-        columns = document["columns"]
-        rows = document["rows"]
-        if not isinstance(title, str):
-            raise ValueError(f"table title must be a string, got {title!r}")
-        if not isinstance(columns, list) or not all(
-            isinstance(c, str) for c in columns
-        ):
-            raise ValueError(f"bad table columns {columns!r}")
-        table = cls(columns, title=title)
-        if not isinstance(rows, list):
-            raise ValueError(f"bad table rows {rows!r}")
-        for row in rows:
-            if not isinstance(row, list) or not all(
-                type(cell) in (int, float, str, type(None)) for cell in row
-            ):
-                raise ValueError(f"bad table row {row!r}")
-            table.add_row(*row)
-        return table
-
     def lookup(self, key_column: str, key: Cell, value_column: str) -> Optional[Cell]:
         """Return the ``value_column`` cell of the first row whose
         ``key_column`` equals ``key`` (None if absent)."""

@@ -8,9 +8,11 @@ registers, and with the realistic integer-marshalling prologue).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Optional, Tuple
 
+from repro.common.config import SystemConfig
 from repro.common.tables import Table
+from repro.evaluation.runner import PointJob, SweepRunner, default_runner
 from repro.isa.assembler import assemble
 from repro.sim.system import System
 from repro.workloads.blockstore import (
@@ -34,10 +36,12 @@ MECHANISMS = (
 )
 
 
-def atomic_line_write(mechanism: str) -> "tuple[int, int]":
+def atomic_line_write(
+    mechanism: str, config: Optional[SystemConfig] = None
+) -> Tuple[int, int]:
     """(CPU cycles, dynamic instructions) to atomically deliver one
     64-byte line (8 doublewords)."""
-    system = System()
+    system = System(config)
     if mechanism == "lock_stores_unlock":
         source = locked_access_kernel(8)
     elif mechanism == "csb":
@@ -60,12 +64,7 @@ def atomic_line_write(mechanism: str) -> "tuple[int, int]":
     )
 
 
-def atomic_line_write_cycles(mechanism: str) -> int:
-    """CPU cycles only (convenience wrapper)."""
-    return atomic_line_write(mechanism)[0]
-
-
-def blockstore_table() -> Table:
+def blockstore_table(runner: Optional[SweepRunner] = None) -> Table:
     """Latency and dynamic instruction cost per mechanism.
 
     The block store's raw latency win is real — atomicity is free once the
@@ -75,14 +74,15 @@ def blockstore_table() -> Table:
     registers pinned per pending line, saved and restored on every context
     switch.
     """
+    jobs = [
+        PointJob(atomic_line_write, (m,), SystemConfig(), f"blockstore-{m}")
+        for m in MECHANISMS
+    ]
+    results = (runner or default_runner()).run(jobs)
     table = Table(
         ["mechanism", "cycles", "instructions"],
         title="Atomic 64-byte device write: mechanism comparison",
     )
-    results: Dict[str, "tuple[int, int]"] = {
-        mechanism: atomic_line_write(mechanism) for mechanism in MECHANISMS
-    }
-    for mechanism in MECHANISMS:
-        cycles, instructions = results[mechanism]
+    for mechanism, (cycles, instructions) in zip(MECHANISMS, results):
         table.add_row(mechanism, cycles, instructions)
     return table

@@ -24,62 +24,62 @@ from repro.common.config import MemoryConfig, SystemConfig
 from repro.common.errors import ConfigError
 from repro.common.tables import Table
 from repro.evaluation.crossover import MESSAGE_SIZES, send_latency
+from repro.evaluation.runner import PointJob, SweepRunner, default_runner
 
 #: Row order of the cached-crossover table.
 CACHED_METHODS = ("pio_lock_hit", "pio_lock_miss", "csb", "dma")
 
-
-def _cached_config(mem: Optional[MemoryConfig]) -> SystemConfig:
-    if mem is None:
-        mem = MemoryConfig(enabled=True)
-    elif not mem.enabled:
-        raise ConfigError("cached-crossover needs mem.enabled=True")
-    return replace(SystemConfig(), mem=mem)
+#: The study's machine: the default system with the data cache enabled.
+CACHED_CONFIG = replace(SystemConfig(), mem=MemoryConfig(enabled=True))
 
 
 def cached_send_latency(
-    method: str, payload_bytes: int, mem: Optional[MemoryConfig] = None
+    method: str,
+    payload_bytes: int,
+    mem: Optional[MemoryConfig] = None,
+    config: SystemConfig = CACHED_CONFIG,
 ) -> int:
     """CPU cycles to NIC hand-off on the cached machine.
 
     ``pio_lock_hit`` / ``pio_lock_miss`` are the same locked-PIO kernel;
-    only the initial residency of the lock line differs.
+    only the initial residency of the lock line differs.  A given
+    ``mem`` replaces ``config``'s cache; otherwise that cache is enabled
+    here, since it is this study's subject (``--mem enabled=false``
+    across ``--all`` leaves this table and its golden check untouched).
     """
     if method not in CACHED_METHODS:
         raise ConfigError(
             f"unknown cached send method {method!r}; have {CACHED_METHODS}"
         )
-    config = _cached_config(mem)
+    if mem is None:
+        mem = replace(config.mem, enabled=True)
+    elif not mem.enabled:
+        raise ConfigError("cached-crossover needs mem.enabled=True")
     base = "pio_locked" if method.startswith("pio_lock") else method
     return send_latency(
         base,
         payload_bytes,
-        config=config,
+        config=replace(config, mem=mem),
         warm_lock=(method == "pio_lock_hit"),
     )
 
 
 def cached_crossover_table(
-    sizes: Iterable[int] = MESSAGE_SIZES,
-    mem: Optional[MemoryConfig] = None,
-    runner=None,
+    sizes: Iterable[int] = MESSAGE_SIZES, runner: Optional[SweepRunner] = None
 ) -> Table:
-    """Rows = send methods, columns = message sizes, cells = CPU cycles.
-
-    ``runner`` is accepted for registry compatibility; when it carries a
-    ``mem`` overrides section (the CLI's ``--mem``), those fields
-    parameterize the cache.  The cache itself is this experiment's
-    subject, so ``enabled`` is pinned to True here — a blanket
-    ``--mem enabled=false`` across ``--all`` leaves this table (and its
-    golden check) untouched instead of failing it.
-    """
-    if mem is None and runner is not None and getattr(runner, "overrides", None):
-        section = runner.overrides.get("mem")
-        if section:
-            fields = dict(section)
-            fields["enabled"] = True
-            mem = MemoryConfig(**fields)
+    """Rows = send methods, columns = message sizes, cells = CPU cycles."""
     sizes = list(sizes)
+    jobs = [
+        PointJob(
+            cached_send_latency,
+            (method, size),
+            CACHED_CONFIG,
+            f"cached-crossover-{method}-{size}",
+        )
+        for method in CACHED_METHODS
+        for size in sizes
+    ]
+    values = iter((runner or default_runner()).run(jobs))
     table = Table(
         ["method"] + [str(s) for s in sizes],
         title=(
@@ -88,9 +88,7 @@ def cached_crossover_table(
         ),
     )
     for method in CACHED_METHODS:
-        table.add_row(
-            method, *[cached_send_latency(method, size, mem) for size in sizes]
-        )
+        table.add_row(method, *[next(values) for _ in sizes])
     return table
 
 

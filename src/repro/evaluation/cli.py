@@ -41,18 +41,8 @@ import time
 from typing import List, Optional
 
 from repro.common.errors import ConfigError
-from repro.common.tables import Table
-from repro.evaluation.experiments import (
-    experiment_ids,
-    ignores_runner,
-    run_experiment,
-)
-from repro.evaluation.runner import (
-    ResultCache,
-    SweepRunner,
-    default_cache_dir,
-    experiment_key,
-)
+from repro.evaluation.experiments import experiment_ids, run_experiment
+from repro.evaluation.runner import ResultCache, SweepRunner, default_cache_dir
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -240,60 +230,12 @@ def _make_runner(
     )
 
 
-def _resolve_table(
-    experiment_id: str, runner: SweepRunner, outside: List[str]
-) -> Table:
-    """Run one experiment through the runner, with a whole-table cache in
-    front for the studies that cannot be decomposed into SimJobs.  A
-    sweep's points resolve through the runner's per-job cache, which keys
-    each by its config content; a whole-table entry, keyed by id and
-    SIM_VERSION alone, would outlive a change to the sweep's points.  A
-    study outside the runner ignores its sampling and overrides, so one
-    entry serves it under every flag.  In observed mode (tracing/metrics)
-    the table cache is bypassed so every job actually simulates.
-
-    A study that runs outside the runner gets a note through the
-    runner's log when a flag it ignores was given, and its id joins
-    ``outside`` when it runs.
-    """
-    outsider = ignores_runner(experiment_id)
-    if outsider:
-        ignored = [
-            flag
-            for flag, given in (
-                ("--tier sampled", runner.sampling is not None),
-                ("--mem", bool(runner.overrides)),
-            )
-            if given
-        ]
-        if ignored:
-            runner.log(
-                f"note: {experiment_id} runs outside the sweep runner and "
-                f"ignores {' and '.join(ignored)}"
-            )
-    cache = None if runner.observed or not outsider else runner.cache
-    key = experiment_key(experiment_id)
-    if cache is not None:
-        cached = cache.get_table(key)
-        if cached is not None:
-            return cached
-    table = run_experiment(experiment_id, runner)
-    if outsider:
-        outside.append(experiment_id)
-    if cache is not None:
-        cache.put_table(key, table, name=experiment_id)
-    return table
-
-
-def _report(
-    runner: SweepRunner, outside: List[str], elapsed: float, quiet: bool
-) -> None:
+def _report(runner: SweepRunner, elapsed: float, quiet: bool) -> None:
     if quiet:
         return
-    tables = f", {len(outside)} outside the runner" if outside else ""
     print(
-        f"[{runner.simulated} simulated, {runner.cache_hits} cached"
-        f"{tables}, {elapsed:.1f}s]",
+        f"[{runner.simulated} simulated, {runner.cache_hits} cached, "
+        f"{elapsed:.1f}s]",
         file=sys.stderr,
     )
 
@@ -996,16 +938,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         trace_stream = open(args.trace_events, "w", encoding="utf-8")
     try:
         runner = _make_runner(args, trace_stream=trace_stream)
-        outside: List[str] = []
         started = time.monotonic()
         if args.check:
-            status = _check_against(chosen, args.check, runner, outside)
-            _report(runner, outside, time.monotonic() - started, args.quiet)
+            status = _check_against(chosen, args.check, runner)
+            _report(runner, time.monotonic() - started, args.quiet)
             return status
         for experiment_id in chosen:
             if not args.quiet:
                 print(f"[{experiment_id}]", file=sys.stderr)
-            table = _resolve_table(experiment_id, runner, outside)
+            table = run_experiment(experiment_id, runner)
             if args.markdown:
                 print(table.to_markdown(precision=args.precision))
             else:
@@ -1025,7 +966,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 handle.write("\n")
             if not args.quiet:
                 print(f"[wrote {args.metrics_out}]", file=sys.stderr)
-        _report(runner, outside, time.monotonic() - started, args.quiet)
+        _report(runner, time.monotonic() - started, args.quiet)
         return 0
     except ConfigError as exc:
         # Flags valid alone can still merge into an invalid per-job
@@ -1065,9 +1006,7 @@ def _diff_lines(actual: str, expected: str) -> List[str]:
     return detail
 
 
-def _check_against(
-    chosen: List[str], golden_dir: str, runner: SweepRunner, outside: List[str]
-) -> int:
+def _check_against(chosen: List[str], golden_dir: str, runner: SweepRunner) -> int:
     """Golden-file regression: simulations are deterministic, so every
     regenerated table must match its stored CSV byte for byte."""
     failures = 0
@@ -1079,7 +1018,7 @@ def _check_against(
             continue
         with open(path, "r", encoding="utf-8") as handle:
             expected = handle.read()
-        actual = _resolve_table(experiment_id, runner, outside).to_csv()
+        actual = run_experiment(experiment_id, runner).to_csv()
         if actual == expected:
             print(f"{experiment_id}: OK")
         else:

@@ -33,6 +33,7 @@ from repro.memory.layout import (
     PageAttr,
     Region,
 )
+from repro.evaluation.runner import PointJob, SweepRunner, default_runner
 from repro.sim.system import System
 from repro.workloads.lockbench import DEFAULT_LOCK_ADDR, MARK_START
 from repro.workloads.messaging import dma_send_kernel, pio_send_kernel
@@ -165,13 +166,21 @@ def send_latency(
     return pushed_cpu_cycle - system.stats.marks[MARK_START]
 
 
-def crossover_table(sizes: Iterable[int] = MESSAGE_SIZES) -> Table:
+def crossover_table(
+    sizes: Iterable[int] = MESSAGE_SIZES, runner: Optional[SweepRunner] = None
+) -> Table:
     """Rows = send methods, columns = message sizes, cells = CPU cycles."""
     sizes = list(sizes)
+    jobs = [
+        PointJob(send_latency, (m, s), SystemConfig(), f"crossover-{m}-{s}")
+        for m in METHODS
+        for s in sizes
+    ]
+    values = iter((runner or default_runner()).run(jobs))
     table = Table(
         ["method"] + [str(s) for s in sizes],
         title="PIO vs DMA message latency [CPU cycles to NIC hand-off]",
     )
     for method in METHODS:
-        table.add_row(method, *[send_latency(method, size) for size in sizes])
+        table.add_row(method, *[next(values) for _ in sizes])
     return table

@@ -1,10 +1,10 @@
 """Experiment registry: every table/figure the harness can regenerate.
 
 Each entry maps an experiment id (``fig3a`` .. ``fig5b``, plus extension
-studies) to a zero-argument callable returning a rendered
-:class:`~repro.common.tables.Table`.  The CLI and EXPERIMENTS.md both draw
-from this registry, so the documented inventory can never drift from the
-code.
+studies) to a callable that takes an optional runner and returns a
+rendered :class:`~repro.common.tables.Table`.  The CLI and EXPERIMENTS.md
+both draw from this registry, so the documented inventory can never
+drift from the code.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from repro.evaluation.latency import fig5_table
 from repro.evaluation.panels import FIG3_PANELS, FIG4_PANELS
 from repro.evaluation.runner import SweepRunner
 
-#: Every factory takes an optional :class:`SweepRunner`; sweep-style
-#: experiments hand their jobs to it, single-run studies ignore it.
+#: Every factory takes an optional :class:`SweepRunner` and hands it
+#: every point of its table.
 TableFactory = Callable[[Optional[SweepRunner]], Table]
 
 
@@ -31,19 +31,6 @@ def _bandwidth_factory(figure: int, panel: str) -> TableFactory:
         return panel_table(spec, runner=runner)
 
     build.__name__ = f"fig{figure}{panel}"
-    return build
-
-
-def _ignores_runner(factory: Callable[[], Table]) -> TableFactory:
-    """Adapt a zero-argument factory (a study that is not a sweep of
-    independent simulations) to the registry signature, marked for
-    :func:`ignores_runner`."""
-
-    def build(runner: Optional[SweepRunner] = None) -> Table:
-        return factory()
-
-    build.__name__ = getattr(factory, "__name__", "experiment")
-    setattr(build, "ignores_runner", True)
     return build
 
 
@@ -91,10 +78,10 @@ def _extension_registry() -> Dict[str, TableFactory]:
     )
 
     return {
-        "pingpong": _ignores_runner(rtt_table),
-        "loaded-bus": _ignores_runner(loaded_bus_table),
-        "loaded-bus-misses": _ignores_runner(miss_interleaved_table),
-        "crossover": _ignores_runner(crossover_table),
+        "pingpong": lambda runner=None: rtt_table(runner=runner),
+        "loaded-bus": lambda runner=None: loaded_bus_table(runner=runner),
+        "loaded-bus-misses": lambda runner=None: miss_interleaved_table(runner=runner),
+        "crossover": lambda runner=None: crossover_table(runner=runner),
         "cached-crossover": lambda runner=None: cached_crossover_table(
             runner=runner
         ),
@@ -104,7 +91,7 @@ def _extension_registry() -> Dict[str, TableFactory]:
         "policies-shuffled": lambda runner=None: policy_table(
             interleaved=True, runner=runner
         ),
-        "blockstore": _ignores_runner(blockstore_table),
+        "blockstore": lambda runner=None: blockstore_table(runner=runner),
         "ablation-linebuffers": lambda runner=None: line_buffer_table(
             runner=runner
         ),
@@ -121,9 +108,9 @@ def _extension_registry() -> Dict[str, TableFactory]:
         "sensitivity-width": lambda runner=None: width_sensitivity_table(
             runner=runner
         ),
-        "fault-sweep": _ignores_runner(fault_sweep_table),
-        "smp-contention": _ignores_runner(smp_contention_table),
-        "sync-mechanisms": _ignores_runner(sync_mechanism_table),
+        "fault-sweep": lambda runner=None: fault_sweep_table(runner=runner),
+        "smp-contention": lambda runner=None: smp_contention_table(runner=runner),
+        "sync-mechanisms": lambda runner=None: sync_mechanism_table(runner=runner),
         "sensitivity-ratio": lambda runner=None: ratio_sensitivity_table(
             runner=runner
         ),
@@ -153,11 +140,3 @@ def run_experiment(
             f"unknown experiment {experiment_id!r}; have {experiment_ids()}"
         ) from None
     return factory(runner)
-
-
-def ignores_runner(experiment_id: str) -> bool:
-    """True for the studies that run their own simulations outside the
-    sweep runner, so its tier, sampling and config overrides never reach
-    them (pingpong, the loaded bus, crossover, blockstore, fault-sweep,
-    smp-contention, sync-mechanisms); False for an unknown id."""
-    return getattr(EXPERIMENTS.get(experiment_id), "ignores_runner", False)

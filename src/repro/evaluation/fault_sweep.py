@@ -20,7 +20,7 @@ tests/faults/test_fault_sweep.py).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from repro.common.config import (
     BusConfig,
@@ -31,6 +31,7 @@ from repro.common.config import (
 from repro.common.errors import ConfigError
 from repro.common.tables import Table
 from repro.devices.sink import BurstSink
+from repro.evaluation.runner import PointJob, SweepRunner, default_runner
 from repro.faults import FaultConfig
 from repro.isa.assembler import assemble
 from repro.memory.layout import (
@@ -75,6 +76,17 @@ def fault_profile(rate: float, seed: int = DEFAULT_SEED) -> FaultConfig:
     )
 
 
+def fault_sweep_config(rate: float, seed: int = DEFAULT_SEED) -> SystemConfig:
+    """One sweep point's machine: the Figure 5 bus carrying
+    :func:`fault_profile` at ``rate``."""
+    return SystemConfig(
+        memory=MemoryHierarchyConfig.with_line_size(64),
+        bus=BusConfig(cpu_ratio=6, max_burst_bytes=64),
+        csb=CSBConfig(line_size=64),
+        faults=fault_profile(rate, seed),
+    )
+
+
 def fault_sweep_system(
     mechanism: str,
     rate: float,
@@ -82,14 +94,12 @@ def fault_sweep_system(
     seed: int = DEFAULT_SEED,
 ) -> System:
     """Build (without running) one sweep point's single-core system."""
+    return _build(mechanism, iterations, fault_sweep_config(rate, seed))
+
+
+def _build(mechanism: str, iterations: int, config: SystemConfig) -> System:
     if mechanism not in MECHANISMS:
         raise ConfigError(f"unknown mechanism {mechanism!r}; have {MECHANISMS}")
-    config = SystemConfig(
-        memory=MemoryHierarchyConfig.with_line_size(64),
-        bus=BusConfig(cpu_ratio=6, max_burst_bytes=64),
-        csb=CSBConfig(line_size=64),
-        faults=fault_profile(rate, seed),
-    )
     system = System(config)
     # Real device targets at both disciplines' windows, so injected
     # device acknowledgment timeouts apply to each equally.
@@ -117,13 +127,11 @@ def fault_sweep_system(
 
 
 def fault_sweep_cycles(
-    mechanism: str,
-    rate: float,
-    iterations: int = DEFAULT_ITERATIONS,
-    seed: int = DEFAULT_SEED,
+    mechanism: str, iterations: int = DEFAULT_ITERATIONS, *, config: SystemConfig
 ) -> float:
-    """CPU cycles per completed atomic access at one fault rate."""
-    system = fault_sweep_system(mechanism, rate, iterations, seed)
+    """CPU cycles per completed atomic access on ``config``, whose fault
+    profile (:func:`fault_sweep_config`) sets the rate."""
+    system = _build(mechanism, iterations, config)
     system.run(max_cycles=50_000_000)
     return system.cycle / iterations
 
@@ -132,11 +140,23 @@ def fault_sweep_table(
     rates: Iterable[float] = DEFAULT_RATES,
     iterations: int = DEFAULT_ITERATIONS,
     seed: int = DEFAULT_SEED,
+    runner: Optional[SweepRunner] = None,
 ) -> Table:
     """Lock vs CSB cycles-per-access (and slowdowns) per fault rate."""
     rates = list(rates)
     if not rates or rates[0] != 0.0:
         raise ConfigError("the sweep needs the fault-free rate 0.0 first")
+    jobs = [
+        PointJob(
+            fault_sweep_cycles,
+            (mechanism, iterations),
+            fault_sweep_config(rate, seed),
+            f"fault-sweep-{mechanism}-{rate}",
+        )
+        for rate in rates
+        for mechanism in MECHANISMS
+    ]
+    values = iter((runner or default_runner()).run(jobs))
     table = Table(
         [
             "rate",
@@ -151,8 +171,7 @@ def fault_sweep_table(
     )
     baselines = {}
     for rate in rates:
-        lock = fault_sweep_cycles("lock", rate, iterations, seed)
-        csb = fault_sweep_cycles("csb", rate, iterations, seed)
+        lock, csb = next(values), next(values)
         if rate == 0.0:
             baselines = {"lock": lock, "csb": csb}
         table.add_row(

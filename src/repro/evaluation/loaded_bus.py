@@ -11,7 +11,7 @@ priority, so every miss steals a full burst slot from the uncached stream.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 from repro.common.config import (
     BusConfig,
@@ -25,6 +25,13 @@ from repro.common.tables import Table
 from repro.isa.assembler import assemble
 from repro.memory.layout import DRAM_BASE, IO_COMBINING_BASE, IO_UNCACHED_BASE
 from repro.sim.system import System
+from repro.evaluation.runner import (
+    PointJob,
+    SimJob,
+    SweepRunner,
+    default_runner,
+    execute_job,
+)
 from repro.evaluation.schemes import SCHEME_CSB, scheme_block
 
 #: Cached array the interfering loads stream over (never revisited, so
@@ -85,19 +92,30 @@ def _loaded_config(scheme: str, refills_use_bus: bool) -> SystemConfig:
     )
 
 
+def miss_interleaved_job(
+    scheme: str, total_bytes: int, refills_use_bus: bool
+) -> SimJob:
+    """Describe one store stream with interleaved misses as a SimJob."""
+    label = "loaded" if refills_use_bus else "idle"
+    return SimJob(
+        config=_loaded_config(scheme, refills_use_bus),
+        kernel=stores_with_miss_stream_kernel(
+            total_bytes, 64, csb=(scheme == SCHEME_CSB)
+        ),
+        name=f"loaded-bus-misses-{scheme}-{label}-{total_bytes}",
+    )
+
+
 def loaded_bandwidth_point(
     scheme: str, total_bytes: int, refills_use_bus: bool
 ) -> float:
-    system = System(_loaded_config(scheme, refills_use_bus))
-    source = stores_with_miss_stream_kernel(
-        total_bytes, 64, csb=(scheme == SCHEME_CSB)
-    )
-    system.add_process(assemble(source))
-    system.run()
-    return system.store_bandwidth
+    return execute_job(miss_interleaved_job(scheme, total_bytes, refills_use_bus))
 
 
-def miss_interleaved_table(sizes: Iterable[int] = (256, 512, 1024)) -> Table:
+def miss_interleaved_table(
+    sizes: Iterable[int] = (256, 512, 1024),
+    runner: Optional[SweepRunner] = None,
+) -> Table:
     """Idle vs loaded bus with the misses *in the program*.
 
     Two effects compose here: refill bus occupancy (when enabled) and the
@@ -109,6 +127,13 @@ def miss_interleaved_table(sizes: Iterable[int] = (256, 512, 1024)) -> Table:
     only loses the idle gaps.
     """
     sizes = list(sizes)
+    jobs = [
+        miss_interleaved_job(scheme, size, loaded)
+        for scheme in LOADED_SCHEMES
+        for loaded in (False, True)
+        for size in sizes
+    ]
+    values = iter((runner or default_runner()).run(jobs))
     table = Table(
         ["scheme", "bus"] + [str(s) for s in sizes],
         title="Store bandwidth with interleaved cache misses "
@@ -117,23 +142,24 @@ def miss_interleaved_table(sizes: Iterable[int] = (256, 512, 1024)) -> Table:
     for scheme in LOADED_SCHEMES:
         for loaded in (False, True):
             label = "loaded" if loaded else "idle"
-            table.add_row(
-                scheme,
-                label,
-                *[loaded_bandwidth_point(scheme, s, loaded) for s in sizes],
-            )
+            table.add_row(scheme, label, *[next(values) for _ in sizes])
     return table
 
 
 def injected_bandwidth_point(
-    scheme: str, total_bytes: int, refill_period: int
+    scheme: str,
+    total_bytes: int,
+    refill_period: int,
+    config: Optional[SystemConfig] = None,
 ) -> float:
     """Store bandwidth with one line refill injected every
     ``refill_period`` bus cycles (0 = idle bus) — pure bus contention,
     independent of the pipeline."""
     from repro.workloads.storebw import store_kernel_csb, store_kernel_uncached
 
-    system = System(_loaded_config(scheme, refills_use_bus=True))
+    if config is None:
+        config = _loaded_config(scheme, refills_use_bus=True)
+    system = System(config)
     if scheme == SCHEME_CSB:
         source = store_kernel_csb(total_bytes, 64)
     else:
@@ -154,10 +180,22 @@ def injected_bandwidth_point(
 def loaded_bus_table(
     refill_periods: Iterable[int] = (0, 40, 20, 12),
     total_bytes: int = 1024,
+    runner: Optional[SweepRunner] = None,
 ) -> Table:
     """Pure bus-contention study: rows = schemes, columns = interference
     rates (one 9-cycle line refill every N bus cycles; 0 = idle)."""
     refill_periods = list(refill_periods)
+    jobs = [
+        PointJob(
+            injected_bandwidth_point,
+            (scheme, total_bytes, period),
+            _loaded_config(scheme, refills_use_bus=True),
+            f"loaded-bus-{scheme}-{period}",
+        )
+        for scheme in LOADED_SCHEMES
+        for period in refill_periods
+    ]
+    values = iter((runner or default_runner()).run(jobs))
 
     def label(period: int) -> str:
         return "idle" if period == 0 else f"1/{period}"
@@ -168,11 +206,5 @@ def loaded_bus_table(
         f"({total_bytes} B transfer) [bytes per bus cycle]",
     )
     for scheme in LOADED_SCHEMES:
-        table.add_row(
-            scheme,
-            *[
-                injected_bandwidth_point(scheme, total_bytes, period)
-                for period in refill_periods
-            ],
-        )
+        table.add_row(scheme, *[next(values) for _ in refill_periods])
     return table

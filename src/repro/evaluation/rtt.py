@@ -8,8 +8,10 @@ conventional locked-PIO send path versus the CSB send path.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from dataclasses import replace
+from typing import Iterable, Optional, Tuple
 
+from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
 from repro.common.tables import Table
 from repro.devices.base import DeviceAlias
@@ -22,6 +24,7 @@ from repro.memory.layout import (
     PageAttr,
     Region,
 )
+from repro.evaluation.runner import PointJob, SweepRunner, default_runner
 from repro.sim.cluster import Cluster
 from repro.sim.system import System
 from repro.workloads.lockbench import DEFAULT_LOCK_ADDR
@@ -39,13 +42,17 @@ NIC_REGION_SIZE = 16 * 1024
 RTT_METHODS = ("pio", "csb", "csb_multisize")
 
 
-def _build_node(pad_to_full_line: bool = True) -> Tuple[System, NetworkInterface]:
-    from dataclasses import replace
-
-    from repro.common.config import SystemConfig
-
+def _node_config(method: str) -> SystemConfig:
+    """Each node's machine: the relaxed-CSB method sends multi-size
+    flush bursts instead of padding every flush to a full line."""
     config = SystemConfig()
-    config = replace(config, csb=replace(config.csb, pad_to_full_line=pad_to_full_line))
+    pad = method != "csb_multisize"
+    return replace(config, csb=replace(config.csb, pad_to_full_line=pad))
+
+
+def _build_node(
+    config: Optional[SystemConfig] = None,
+) -> Tuple[System, NetworkInterface]:
     system = System(config)
     nic = NetworkInterface(
         Region(IO_UNCACHED_BASE, NIC_REGION_SIZE, PageAttr.UNCACHED, "nic")
@@ -66,15 +73,20 @@ def _build_node(pad_to_full_line: bool = True) -> Tuple[System, NetworkInterface
 
 
 def pingpong_rtt(
-    method: str, payload_dwords: int, link_latency: int = 10
+    method: str,
+    payload_dwords: int,
+    link_latency: int = 10,
+    config: Optional[SystemConfig] = None,
 ) -> int:
-    """Round-trip time in CPU cycles for one echo exchange."""
+    """Round-trip time in CPU cycles for one echo exchange; both nodes
+    are ``config`` (default: :func:`_node_config` of ``method``)."""
     if method not in RTT_METHODS:
         raise ConfigError(f"unknown send method {method!r}")
-    pad = method != "csb_multisize"
+    if config is None:
+        config = _node_config(method)
     kernel_method = "pio" if method == "pio" else "csb"
-    node_a, nic_a = _build_node(pad_to_full_line=pad)
-    node_b, nic_b = _build_node(pad_to_full_line=pad)
+    node_a, nic_a = _build_node(config)
+    node_b, nic_b = _build_node(config)
     cluster = Cluster([node_a, node_b])
     cluster.connect(Link(nic_a, nic_b, latency=link_latency))
     node_a.add_process(
@@ -100,18 +112,28 @@ def pingpong_rtt(
 
 
 def rtt_table(
-    payload_dwords: Iterable[int] = (1, 2, 4, 8), link_latency: int = 10
+    payload_dwords: Iterable[int] = (1, 2, 4, 8),
+    link_latency: int = 10,
+    runner: Optional[SweepRunner] = None,
 ) -> Table:
     """Rows = send methods, columns = payload sizes, cells = RTT cycles."""
     payload_dwords = list(payload_dwords)
+    jobs = [
+        PointJob(
+            pingpong_rtt,
+            (method, n, link_latency),
+            _node_config(method),
+            f"pingpong-{method}-{n * 8}",
+        )
+        for method in RTT_METHODS
+        for n in payload_dwords
+    ]
+    values = iter((runner or default_runner()).run(jobs))
     table = Table(
         ["method"] + [f"{n * 8}B" for n in payload_dwords],
         title=f"Two-node ping-pong RTT, {link_latency}-bus-cycle wire "
         "[CPU cycles]",
     )
     for method in RTT_METHODS:
-        table.add_row(
-            method,
-            *[pingpong_rtt(method, n, link_latency) for n in payload_dwords],
-        )
+        table.add_row(method, *[next(values) for _ in payload_dwords])
     return table

@@ -1,12 +1,12 @@
 """Parallel sweep engine with a content-addressed on-disk result cache.
 
-Every figure in the reproduction is a sweep of *independent* full-system
+Every table in the reproduction is a sweep of *independent* full-system
 simulations; nothing about one (panel, scheme, size) point depends on any
-other.  This module decomposes a sweep into picklable :class:`SimJob`
-descriptors — a serialized :class:`~repro.common.config.SystemConfig`, the
-kernel source, and the measurement to take — and executes them through a
-:class:`SweepRunner` that can fan jobs out over a process pool and/or
-resolve them from a content-addressed cache.
+other.  This module describes each point as a picklable job — a
+:class:`SimJob` (a kernel and the reading to take), a :class:`TraceJob`
+(a trace replay) or a :class:`PointJob` (a study's own point function) —
+and executes them through a :class:`SweepRunner` that can fan jobs out
+over a process pool and/or resolve them from a content-addressed cache.
 
 Determinism guarantee
 ---------------------
@@ -23,7 +23,8 @@ Cache keys
 
 A cache entry is keyed by the SHA-256 of the canonical JSON of
 (:data:`SIM_VERSION`, config, kernel, measurement, measurement args, warmed
-addresses).  Changing any of those produces a different key; bump
+addresses), or of a point job's function name, arguments and config.
+Changing any of those produces a different key; bump
 :data:`SIM_VERSION` whenever a simulator change may alter timing so stale
 entries can never be served.  Corrupt or truncated entries are treated as
 misses and recomputed.
@@ -39,6 +40,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterator,
@@ -58,7 +60,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from repro.common.config import SamplingConfig, SystemConfig
 from repro.common.errors import ConfigError
 from repro.common.serialize import apply_overrides, config_to_dict, digest
-from repro.common.tables import Table
 from repro.isa.assembler import assemble
 from repro.sim.system import System
 from repro.workloads.spec import ProgramWorkload, TraceWorkload
@@ -84,8 +85,13 @@ TRACE_MEASUREMENTS = {
     "mean_occupancy": None,
 }
 
-#: A job result: bytes-per-cycle (float) or a cycle span (int).
-Result = Union[int, float]
+#: One reading: bytes-per-cycle (float) or a cycle count (int).
+Reading = Union[int, float]
+
+#: A job result: a reading, or a tuple of readings a point took off one
+#: run.  :func:`execute_job` and :meth:`SweepRunner.run` return ``Any``:
+#: each table knows which kind its own jobs return.
+Result = Union[Reading, Tuple[Reading, ...]]
 
 #: Progress callback: (completed jobs so far, total jobs in this sweep).
 ProgressFn = Callable[[int, int], None]
@@ -205,17 +211,37 @@ class TraceJob:
                 ) from None
 
 
-Job = Union[SimJob, "TraceJob"]
+@dataclass(frozen=True)
+class PointJob:
+    """One point of a study that builds its own systems (attached devices,
+    a two-node cluster, mid-run bus injection).
+
+    The result is ``point(*args, config=config)``; ``point`` is a
+    module-level function, so the job pickles by reference.  ``args``
+    carry only what the config does not hold (a mechanism, a payload
+    size, an iteration count), so overrides reach every system built.
+    """
+
+    point: Callable[..., Result]
+    args: Tuple[Any, ...]
+    config: SystemConfig
+    name: str = ""
 
 
-def execute_job(job: Job, observers: Sequence = ()) -> Result:
+Job = Union[SimJob, TraceJob, PointJob]
+
+
+def execute_job(job: Job, observers: Sequence = ()) -> Any:
     """Build the system, run the workload to completion, measure.
 
     Pure: equal jobs always produce equal results.  This is the function a
     worker process runs, and also the serial fallback.  ``observers`` are
     event sinks attached before the run (tracing is passive, so an
-    observed run returns the identical measurement).
+    observed run returns the identical measurement); a point job takes
+    none.
     """
+    if isinstance(job, PointJob):
+        return job.point(*job.args, config=job.config)
     if isinstance(job, TraceJob):
         return _measure_trace(_run_trace(job, observers), job)
     return _measure(run_system(job, observers), job)
@@ -297,7 +323,19 @@ def job_key(job: Job) -> str:
     survive the workload-spec refactor).  Trace jobs key on the workload's
     own content-addressed :meth:`~repro.workloads.spec.TraceWorkload
     .cache_key`, so a renamed trace file with identical bytes still hits.
+    Point jobs key on the function's name, not its code: a change to a
+    point's code needs a :data:`SIM_VERSION` bump.
     """
+    if isinstance(job, PointJob):
+        return digest(
+            {
+                "version": SIM_VERSION,
+                "kind": "point",
+                "point": f"{job.point.__module__}.{job.point.__qualname__}",
+                "args": list(job.args),
+                "config": config_to_dict(job.config),
+            }
+        )
     if isinstance(job, TraceJob):
         return digest(
             {
@@ -319,25 +357,6 @@ def job_key(job: Job) -> str:
             "warm": list(job.warm),
         }
     )
-
-
-def experiment_key(experiment_id: str) -> str:
-    """Cache key for a whole experiment table.
-
-    Some studies are not decomposable into independent :class:`SimJob`
-    points (attached devices, two-node clusters, mid-run bus injection),
-    so the CLI caches their finished tables instead.  The key carries no
-    config content — only the :data:`SIM_VERSION` discipline protects
-    these entries, which is the same contract the job-level cache states
-    for simulator changes.  Such a study ignores the runner's sampling
-    and config overrides, so they are not part of the key either.
-    """
-    document = {
-        "version": SIM_VERSION,
-        "kind": "experiment-table",
-        "experiment": experiment_id,
-    }
-    return digest(document)
 
 
 def entry_digest(document: dict) -> str:
@@ -466,40 +485,24 @@ class ResultCache:
             pass
 
     def get(self, key: str) -> Optional[Result]:
-        """The cached result for ``key``, or None (counted as a miss)."""
+        """The cached result for ``key``, or None (counted as a miss).
+        A tuple is stored as a JSON list of readings."""
         document = self._load(key)
         if document is None:
             return None
-        try:
-            value = document["value"]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"bad cached value {value!r}")
-        except (ValueError, KeyError, TypeError):
+        value = document.get("value")
+        readings = value if isinstance(value, list) else [value]
+        if not readings or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in readings
+        ):
             self.misses += 1
             return None
         self.hits += 1
-        return value
+        return tuple(value) if isinstance(value, list) else value
 
     def put(self, key: str, value: Result, name: str = "") -> None:
         self._write(key, {"version": SIM_VERSION, "name": name, "value": value})
-
-    def get_table(self, key: str) -> Optional[Table]:
-        """The cached table for ``key``, or None (counted as a miss)."""
-        document = self._load(key)
-        if document is None:
-            return None
-        try:
-            table = Table.from_dict(document["table"])
-        except (ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return table
-
-    def put_table(self, key: str, table: Table, name: str = "") -> None:
-        self._write(
-            key, {"version": SIM_VERSION, "name": name, "table": table.to_dict()}
-        )
 
     def _write(self, key: str, document: dict) -> None:
         document = dict(document)
@@ -561,7 +564,7 @@ class ResultCache:
 
 
 class SweepRunner:
-    """Executes batches of :class:`SimJob` with caching and parallelism.
+    """Executes batches of jobs with caching and parallelism.
 
     ``jobs`` is the maximum number of worker processes; 1 means run
     serially in-process (no pool, no pickling).  ``cache`` is an optional
@@ -575,7 +578,9 @@ class SweepRunner:
     :attr:`metrics`) both force *observed mode*: every job simulates
     fresh, serially, in-process — sinks cannot be fed from the cache or
     pickled into a worker.  Measurements are unchanged either way
-    (tracing is passive), so the cache is still *written*.
+    (tracing is passive), so the cache is still *written*.  A
+    :class:`PointJob` builds its own systems, so it runs without sinks
+    and leaves no metrics.
 
     Tiered execution: ``sampling`` (a :class:`SamplingConfig` with
     ``enabled=True``) rewrites every eligible job to run through the
@@ -583,10 +588,10 @@ class SweepRunner:
     so sampled results and detailed results occupy disjoint cache
     entries.  Jobs a sampled system cannot represent (SMP, preemptive
     quanta, fault injection, the data cache) keep their detailed
-    configuration — each such fallback is recorded in
-    :attr:`sampling_fallbacks` as ``(job name, reason)`` and announced
-    once through ``log`` (stderr by default), so a "sampled" sweep can
-    never silently run detailed jobs.
+    configuration, as do trace and point jobs — each such fallback is
+    recorded in :attr:`sampling_fallbacks` as ``(job name, reason)`` and
+    announced once through ``log`` (stderr by default), so a "sampled"
+    sweep can never silently run detailed jobs.
 
     Config overrides: ``overrides`` (the mapping shape
     :func:`~repro.common.serialize.apply_overrides` takes, e.g.
@@ -635,14 +640,9 @@ class SweepRunner:
         if isinstance(job, TraceJob):
             # Replay must observe every window in the detailed tier — a
             # fast-forwarded window has no bus transactions to attribute.
-            name = job.name or f"job {job_key(job)[:12]}"
-            reason = "trace replay always runs the detailed tier"
-            self.sampling_fallbacks.append((name, reason))
-            self.log(
-                f"note: {name} is ineligible for sampling and runs at "
-                f"the detailed tier ({reason})"
-            )
-            return job
+            return self._fallback(job, "trace replay always runs the detailed tier")
+        if isinstance(job, PointJob):
+            return self._fallback(job, "a point job builds its own systems")
         try:
             return replace(
                 job, config=replace(job.config, sampling=self.sampling)
@@ -651,24 +651,28 @@ class SweepRunner:
             # Ineligible for sampling (SMP, quantum, faults, data cache):
             # run full detail, and say so — a sampled sweep that quietly
             # simulates detailed jobs misreports its own speedup.
-            name = job.name or f"job {job_key(job)[:12]}"
-            self.sampling_fallbacks.append((name, str(error)))
-            self.log(
-                f"note: {name} is ineligible for sampling and runs at "
-                f"the detailed tier ({error})"
-            )
-            return job
+            return self._fallback(job, str(error))
+
+    def _fallback(self, job: Job, reason: str) -> Job:
+        """Record and announce that ``job`` runs at the detailed tier."""
+        name = job.name or f"job {job_key(job)[:12]}"
+        self.sampling_fallbacks.append((name, reason))
+        self.log(
+            f"note: {name} is ineligible for sampling and runs at "
+            f"the detailed tier ({reason})"
+        )
+        return job
 
     @property
     def observed(self) -> bool:
         """True when every job must simulate fresh, serially, in-process."""
         return self.observer_factory is not None or self.collect_metrics
 
-    def run(self, jobs: Sequence[Job]) -> List[Result]:
+    def run(self, jobs: Sequence[Job]) -> List[Any]:
         """Resolve every job; results are returned in input order."""
         jobs = [self._with_sampling(self._with_overrides(job)) for job in jobs]
         total = len(jobs)
-        results: List[Optional[Result]] = [None] * total
+        results: Dict[int, Result] = {}
         pending: List[Tuple[int, Job]] = []
         done = 0
         for index, job in enumerate(jobs):
@@ -686,9 +690,13 @@ class SweepRunner:
                 pending.append((index, job))
         if pending:
             done = self._simulate(pending, results, done, total)
-        return results  # type: ignore[return-value]
+        return [results[index] for index in range(total)]
 
     def _execute_observed(self, job: Job) -> Result:
+        if isinstance(job, PointJob):
+            # A point builds its own systems, so no sink can reach them;
+            # it still runs fresh, like every observed job.
+            return execute_job(job)
         observers = (
             self.observer_factory(job) if self.observer_factory else ()
         )
@@ -709,7 +717,7 @@ class SweepRunner:
     def _simulate(
         self,
         pending: List[Tuple[int, Job]],
-        results: List[Optional[Result]],
+        results: Dict[int, Result],
         done: int,
         total: int,
     ) -> int:
@@ -748,7 +756,7 @@ class SweepRunner:
         index: int,
         job: Job,
         value: Result,
-        results: List[Optional[Result]],
+        results: Dict[int, Result],
         done: int,
         total: int,
     ) -> int:

@@ -15,7 +15,7 @@ monotonically with the core count.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from repro.common.config import (
     BusConfig,
@@ -25,6 +25,7 @@ from repro.common.config import (
 )
 from repro.common.errors import ConfigError
 from repro.common.tables import Table
+from repro.evaluation.runner import PointJob, SweepRunner, default_runner
 from repro.isa.assembler import assemble
 from repro.memory.layout import IO_COMBINING_BASE
 from repro.sim.system import System
@@ -42,6 +43,19 @@ MECHANISMS = ("lock", "csb")
 DEFAULT_ITERATIONS = 6
 
 
+def smp_contention_config(
+    num_cores: int, arbitration: str = "round_robin"
+) -> SystemConfig:
+    """The N-core machine on the Figure 5 bus."""
+    return SystemConfig(
+        num_cores=num_cores,
+        arbitration=arbitration,
+        memory=MemoryHierarchyConfig.with_line_size(64),
+        bus=BusConfig(cpu_ratio=6, max_burst_bytes=64),
+        csb=CSBConfig(line_size=64),
+    )
+
+
 def smp_contention_system(
     mechanism: str,
     num_cores: int,
@@ -50,17 +64,18 @@ def smp_contention_system(
     arbitration: str = "round_robin",
 ) -> System:
     """Build (without running) the N-core contention system."""
+    config = smp_contention_config(num_cores, arbitration)
+    return _build(mechanism, iterations, n_doublewords, config)
+
+
+def _build(
+    mechanism: str, iterations: int, n_doublewords: int, config: SystemConfig
+) -> System:
+    """Every core of ``config`` runs the mechanism's kernel."""
     if mechanism not in MECHANISMS:
         raise ConfigError(f"unknown mechanism {mechanism!r}; have {MECHANISMS}")
-    config = SystemConfig(
-        num_cores=num_cores,
-        arbitration=arbitration,
-        memory=MemoryHierarchyConfig.with_line_size(64),
-        bus=BusConfig(cpu_ratio=6, max_burst_bytes=64),
-        csb=CSBConfig(line_size=64),
-    )
     system = System(config)
-    for core in range(num_cores):
+    for core in range(config.num_cores):
         if mechanism == "lock":
             source = smp_locked_kernel(
                 iterations,
@@ -92,15 +107,14 @@ def smp_contention_system(
 
 def smp_contention_cycles(
     mechanism: str,
-    num_cores: int,
     iterations: int = DEFAULT_ITERATIONS,
     n_doublewords: int = 8,
-    arbitration: str = "round_robin",
+    *,
+    config: SystemConfig,
 ) -> int:
-    """Total CPU cycles for all cores to finish their accesses and drain."""
-    system = smp_contention_system(
-        mechanism, num_cores, iterations, n_doublewords, arbitration
-    )
+    """Total CPU cycles for every core of ``config`` (see
+    :func:`smp_contention_config`) to finish its accesses and drain."""
+    system = _build(mechanism, iterations, n_doublewords, config)
     system.run(max_cycles=50_000_000)
     return system.cycle
 
@@ -108,15 +122,27 @@ def smp_contention_cycles(
 def smp_contention_table(
     core_counts: Iterable[int] = (2, 4, 8),
     iterations: int = DEFAULT_ITERATIONS,
+    runner: Optional[SweepRunner] = None,
 ) -> Table:
     """Lock vs CSB total cycles per core count, plus their ratio."""
+    core_counts = list(core_counts)
+    jobs = [
+        PointJob(
+            smp_contention_cycles,
+            (mechanism, iterations),
+            smp_contention_config(cores),
+            f"smp-contention-{mechanism}-{cores}",
+        )
+        for cores in core_counts
+        for mechanism in MECHANISMS
+    ]
+    values = iter((runner or default_runner()).run(jobs))
     table = Table(
         ["cores", "lock", "csb", "lock/csb"],
         title=f"SMP contention: {iterations} atomic 64B device accesses "
         "per core, one shared line [total CPU cycles]",
     )
     for cores in core_counts:
-        lock = smp_contention_cycles("lock", cores, iterations)
-        csb = smp_contention_cycles("csb", cores, iterations)
+        lock, csb = next(values), next(values)
         table.add_row(cores, lock, csb, round(lock / csb, 2))
     return table

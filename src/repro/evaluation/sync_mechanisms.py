@@ -14,7 +14,7 @@ lock whose store-conditional broadcasts on the bus, and the lock-free CSB.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 from repro.common.config import (
     BusConfig,
@@ -25,8 +25,7 @@ from repro.common.config import (
 )
 from repro.common.errors import ConfigError
 from repro.common.tables import Table
-from repro.isa.assembler import assemble
-from repro.sim.system import System
+from repro.evaluation.runner import SimJob, SweepRunner, default_runner
 from repro.workloads.lockbench import (
     DEFAULT_LOCK_ADDR,
     MARK_DONE,
@@ -70,9 +69,10 @@ def llsc_access_kernel(
     return "\n".join(lines)
 
 
-def sync_access_cycles(
+def sync_access_job(
     mechanism: str, n_doublewords: int, lock_hits_l1: bool = True
-) -> int:
+) -> SimJob:
+    """Describe one atomic access under ``mechanism`` as a SimJob."""
     if mechanism not in MECHANISMS:
         raise ConfigError(f"unknown mechanism {mechanism!r}")
     config = SystemConfig(
@@ -81,24 +81,30 @@ def sync_access_cycles(
         bus=BusConfig(cpu_ratio=6, max_burst_bytes=64),
         csb=CSBConfig(line_size=64),
     )
-    system = System(config)
     if mechanism == "swap_lock":
         source = locked_access_kernel(n_doublewords)
     elif mechanism in ("llsc_local", "llsc_bus"):
         source = llsc_access_kernel(n_doublewords)
     else:
         source = csb_access_kernel(n_doublewords)
-    system.add_process(assemble(source, name=mechanism))
-    if lock_hits_l1:
-        system.hierarchy.warm(DEFAULT_LOCK_ADDR)
-    system.run()
-    return system.span(MARK_START, MARK_DONE)
+    return SimJob(
+        config=config,
+        kernel=source,
+        measurement="span",
+        args=(MARK_START, MARK_DONE),
+        warm=(DEFAULT_LOCK_ADDR,) if lock_hits_l1 else (),
+        name=f"sync-{mechanism}-{n_doublewords}",
+    )
 
 
 def sync_mechanism_table(
-    counts: Iterable[int] = (2, 4, 8), lock_hits_l1: bool = True
+    counts: Iterable[int] = (2, 4, 8),
+    lock_hits_l1: bool = True,
+    runner: Optional[SweepRunner] = None,
 ) -> Table:
     counts = list(counts)
+    jobs = [sync_access_job(m, n, lock_hits_l1) for m in MECHANISMS for n in counts]
+    values = iter((runner or default_runner()).run(jobs))
     state = "hits L1" if lock_hits_l1 else "misses"
     table = Table(
         ["mechanism"] + [f"{n * 8}B" for n in counts],
@@ -106,8 +112,5 @@ def sync_mechanism_table(
         f"lock {state} [CPU cycles]",
     )
     for mechanism in MECHANISMS:
-        table.add_row(
-            mechanism,
-            *[sync_access_cycles(mechanism, n, lock_hits_l1) for n in counts],
-        )
+        table.add_row(mechanism, *[next(values) for _ in counts])
     return table

@@ -96,10 +96,3 @@ class JsonlSink:
         self._stream.write(json.dumps(document, separators=(",", ":")))
         self._stream.write("\n")
         self.written += 1
-
-
-def open_jsonl(path: str, extra: Optional[Dict[str, object]] = None):
-    """Open ``path`` for writing and return (file, JsonlSink) — caller
-    closes the file when the run is over."""
-    handle = open(path, "w", encoding="utf-8")
-    return handle, JsonlSink(handle, extra=extra)

@@ -12,6 +12,8 @@ from repro.common.errors import ConfigError
 from repro.evaluation.experiments import EXPERIMENTS
 from repro.evaluation.fault_sweep import (
     DEFAULT_RATES,
+    DEFAULT_SEED,
+    fault_sweep_config,
     fault_sweep_cycles,
     fault_sweep_table,
 )
@@ -20,6 +22,11 @@ GOLDEN = os.path.join(
     os.path.dirname(__file__), "..", "..", "expected_results",
     "fault-sweep.csv",
 )
+
+
+def cycles(mechanism, rate, seed=DEFAULT_SEED):
+    """Cycles per access on the sweep's machine at one fault rate."""
+    return fault_sweep_cycles(mechanism, config=fault_sweep_config(rate, seed))
 
 
 def test_registered_and_matches_golden_csv():
@@ -32,11 +39,11 @@ def test_registered_and_matches_golden_csv():
 
 
 def test_lock_degrades_at_least_as_fast_as_csb():
-    lock0 = fault_sweep_cycles("lock", 0.0)
-    csb0 = fault_sweep_cycles("csb", 0.0)
+    lock0 = cycles("lock", 0.0)
+    csb0 = cycles("csb", 0.0)
     for rate in DEFAULT_RATES[1:]:
-        lock_slowdown = fault_sweep_cycles("lock", rate) / lock0
-        csb_slowdown = fault_sweep_cycles("csb", rate) / csb0
+        lock_slowdown = cycles("lock", rate) / lock0
+        csb_slowdown = cycles("csb", rate) / csb0
         assert lock_slowdown > 1.0, rate
         assert csb_slowdown > 1.0, rate
         assert lock_slowdown >= csb_slowdown, (
@@ -46,9 +53,9 @@ def test_lock_degrades_at_least_as_fast_as_csb():
 
 def test_sweep_is_seed_sensitive_but_seed_deterministic():
     rate = 0.1
-    with_seed_7 = fault_sweep_cycles("lock", rate, seed=7)
-    assert with_seed_7 == fault_sweep_cycles("lock", rate, seed=7)
-    assert with_seed_7 != fault_sweep_cycles("lock", rate, seed=8)
+    with_seed_7 = cycles("lock", rate, seed=7)
+    assert with_seed_7 == cycles("lock", rate, seed=7)
+    assert with_seed_7 != cycles("lock", rate, seed=8)
 
 
 def test_rates_must_start_at_zero():
@@ -60,4 +67,4 @@ def test_rates_must_start_at_zero():
 
 def test_unknown_mechanism_rejected():
     with pytest.raises(ConfigError):
-        fault_sweep_cycles("tm", 0.0)
+        cycles("tm", 0.0)

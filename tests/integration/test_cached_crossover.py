@@ -85,3 +85,41 @@ class TestGolden:
         fast_by = dict((r[0], r[1]) for r in fast.rows)
         assert slow_by["pio_lock_miss"] > fast_by["pio_lock_miss"]
         assert slow_by["csb"] == fast_by["csb"]  # no cached accesses
+
+
+class TestThroughTheRunner:
+    """Every point is a runner job, so configs, tiers and the cache reach
+    all 32 of them."""
+
+    def test_an_api_config_reaches_every_point(self):
+        from repro.api import run_experiment
+
+        baseline = run_experiment("cached-crossover")
+        slower = run_experiment("cached-crossover", {"bus": {"cpu_ratio": 4}})
+        assert slower.columns == baseline.columns
+        assert all(
+            new != old for new, old in zip(slower.rows, baseline.rows)
+        )
+
+    def test_warm_cli_run_counts_every_point_cached(self, tmp_path, capsys):
+        from repro.evaluation.cli import main
+
+        argv = ["cached-crossover", "--cache-dir", str(tmp_path)]
+        assert main(argv + ["--quiet"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "[0 simulated, 32 cached," in capsys.readouterr().err
+
+    def test_sampled_tier_lists_every_point_as_a_fallback(self):
+        from repro.common.config import SamplingConfig
+        from repro.evaluation.runner import SweepRunner
+
+        runner = SweepRunner(
+            sampling=SamplingConfig(enabled=True), log=lambda message: None
+        )
+        cached_crossover_table(runner=runner)
+        assert [name for name, _ in runner.sampling_fallbacks] == [
+            f"cached-crossover-{method}-{size}"
+            for method in CACHED_METHODS
+            for size in (16, 32, 64, 128, 256, 512, 1024, 2048)
+        ]

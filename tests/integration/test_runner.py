@@ -13,13 +13,21 @@ from dataclasses import replace
 
 import pytest
 
+from repro.common.config import BusConfig, SystemConfig
 from repro.common.errors import ConfigError
 from repro.evaluation import runner as runner_module
 from repro.evaluation.ablations import buffer_depth_table
 from repro.evaluation.bandwidth import bandwidth_job, panel_table
+from repro.evaluation.blockstore import blockstore_table
+from repro.evaluation.cached_crossover import cached_crossover_table
+from repro.evaluation.crossover import crossover_table, send_latency
+from repro.evaluation.fault_sweep import fault_sweep_table
 from repro.evaluation.latency import fig5_table, latency_job
+from repro.evaluation.loaded_bus import loaded_bus_table, miss_interleaved_table
 from repro.evaluation.panels import FIG3_PANELS
+from repro.evaluation.rtt import pingpong_rtt, rtt_table
 from repro.evaluation.runner import (
+    PointJob,
     ResultCache,
     SimJob,
     SweepRunner,
@@ -27,6 +35,8 @@ from repro.evaluation.runner import (
     execute_job,
     job_key,
 )
+from repro.evaluation.smp_contention import smp_contention_table
+from repro.evaluation.sync_mechanisms import sync_mechanism_table
 
 #: One Figure 3 panel, one Figure 5 panel, one ablation — each at a
 #: reduced grid — built through an injected runner.
@@ -178,52 +188,20 @@ class TestCacheRobustness:
 
 
 class TestExperimentTableCache:
-    """The whole-table layer used for studies that are not SimJob sweeps."""
-
-    def test_key_varies_by_experiment_and_version(self, monkeypatch):
-        from repro.evaluation.runner import experiment_key
-
-        assert experiment_key("blockstore") != experiment_key("crossover")
-        before = experiment_key("blockstore")
-        monkeypatch.setattr(runner_module, "SIM_VERSION", "csb-sim-TEST")
-        assert experiment_key("blockstore") != before
+    """Whole experiment tables resolved from the per-job cache."""
 
     def test_table_roundtrips_exactly(self, tmp_path):
+        # blockstore's points are tuple-valued: (cycles, instructions).
         from repro.evaluation.experiments import run_experiment
 
-        table = run_experiment("blockstore")
-        cache = ResultCache(str(tmp_path))
-        cache.put_table("k", table, name="blockstore")
-        restored = ResultCache(str(tmp_path)).get_table("k")
+        cold = SweepRunner(cache=ResultCache(str(tmp_path)))
+        table = run_experiment("blockstore", cold)
+        warm = SweepRunner(cache=ResultCache(str(tmp_path)))
+        restored = run_experiment("blockstore", warm)
+        assert (cold.simulated, warm.simulated, warm.cache_hits) == (4, 0, 4)
         assert restored.render() == table.render()
         assert restored.to_csv() == table.to_csv()
         assert restored.to_markdown() == table.to_markdown()
-
-    def test_sweep_tables_never_read_the_table_cache(self, tmp_path):
-        # A sweep's table key carries no config content, so an entry
-        # stored under it would outlive a change to the sweep's points.
-        from repro.common.tables import Table
-        from repro.evaluation.cli import _resolve_table
-        from repro.evaluation.runner import experiment_key
-
-        cache = ResultCache(str(tmp_path))
-        runner = SweepRunner(jobs=1, cache=cache)
-        bogus = Table(["stale"])
-        bogus.add_row(1)
-        key = experiment_key("fig5a")
-        cache.put_table(key, bogus, name="fig5a")
-        for _ in range(2):  # cold per-job cache, then warm
-            table = _resolve_table("fig5a", runner, [])
-            assert table.columns != bogus.columns
-        assert runner.simulated > 0 and runner.cache_hits == runner.simulated
-        assert cache.get_table(key).columns == bogus.columns  # left alone
-
-    def test_corrupt_table_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        with open(os.path.join(str(tmp_path), "k.json"), "w") as handle:
-            handle.write('{"table": {"columns": [], "rows": "junk"}}')
-        assert cache.get_table("k") is None
-        assert cache.misses == 1
 
     def test_cli_warm_run_is_byte_identical(self, tmp_path, capsys):
         from repro.evaluation.cli import main
@@ -233,6 +211,77 @@ class TestExperimentTableCache:
         cold = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == cold
+
+
+def _point_job(**changes) -> PointJob:
+    job = PointJob(send_latency, ("csb", 16), SystemConfig(), name="p")
+    return replace(job, **changes)
+
+
+#: Every study that builds its own systems (or once did), each at a
+#: reduced grid, built through an injected runner.
+STUDIES = {
+    "pingpong": lambda r: rtt_table(payload_dwords=(1,), runner=r),
+    "loaded-bus": lambda r: loaded_bus_table(
+        refill_periods=(0, 12), total_bytes=256, runner=r
+    ),
+    "loaded-bus-misses": lambda r: miss_interleaved_table(sizes=(256,), runner=r),
+    "crossover": lambda r: crossover_table(sizes=(16, 256), runner=r),
+    "cached-crossover": lambda r: cached_crossover_table(sizes=(16,), runner=r),
+    "blockstore": lambda r: blockstore_table(runner=r),
+    "fault-sweep": lambda r: fault_sweep_table(
+        rates=(0.0, 0.05), iterations=8, runner=r
+    ),
+    "smp-contention": lambda r: smp_contention_table(
+        core_counts=(2,), iterations=2, runner=r
+    ),
+    "sync-mechanisms": lambda r: sync_mechanism_table(counts=(2,), runner=r),
+}
+
+
+class TestPointJobs:
+    def test_equal_jobs_share_a_key(self):
+        assert job_key(_point_job()) == job_key(_point_job())
+        assert job_key(_point_job(name="renamed")) == job_key(_point_job())
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"point": pingpong_rtt},
+            {"args": ("csb", 32)},
+            {"config": replace(SystemConfig(), bus=BusConfig(cpu_ratio=4))},
+        ],
+        ids=["point", "args", "config"],
+    )
+    def test_function_args_and_config_change_the_key(self, changes):
+        assert job_key(_point_job(**changes)) != job_key(_point_job())
+
+    def test_version_tag_changes_the_key(self, monkeypatch):
+        before = job_key(_point_job())
+        monkeypatch.setattr(runner_module, "SIM_VERSION", "csb-sim-TEST")
+        assert job_key(_point_job()) != before
+
+    def test_tuple_result_round_trips(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cache.put("k", (52, 17))
+        assert ResultCache(str(tmp_path)).get("k") == (52, 17)
+        assert isinstance(ResultCache(str(tmp_path)).get("k"), tuple)
+
+    @pytest.mark.parametrize(
+        "value", [[], [1, "x"], [True, 2], [[1], 2], [1, None]]
+    )
+    def test_corrupt_list_entry_is_a_miss(self, tmp_path, value):
+        cache = ResultCache(str(tmp_path))
+        cache.put("k", value)  # a well-formed digest over a bad value
+        assert cache.get("k") is None
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    @pytest.mark.parametrize("name", sorted(STUDIES))
+    def test_parallel_matches_serial_byte_for_byte(self, name):
+        build = STUDIES[name]
+        serial = build(SweepRunner(jobs=1)).to_csv()
+        parallel = build(SweepRunner(jobs=2)).to_csv()
+        assert parallel == serial
 
 
 class TestJobValidation:

@@ -10,6 +10,7 @@ bus-cycle reporter, and arbiter grant counts.
 """
 
 from repro.evaluation.smp_contention import (
+    smp_contention_config,
     smp_contention_cycles,
     smp_contention_system,
     smp_contention_table,
@@ -22,8 +23,9 @@ class TestSeparation:
     def test_gap_widens_monotonically_and_csb_wins(self):
         gaps = []
         for cores in (2, 4, 8):
-            lock = smp_contention_cycles("lock", cores)
-            csb = smp_contention_cycles("csb", cores)
+            config = smp_contention_config(cores)
+            lock = smp_contention_cycles("lock", config=config)
+            csb = smp_contention_cycles("csb", config=config)
             assert csb < lock, f"CSB must win at {cores} cores"
             gaps.append(lock - csb)
         assert gaps == sorted(gaps)
@@ -31,8 +33,8 @@ class TestSeparation:
 
     def test_lock_time_scales_linearly_with_cores(self):
         # Pure serialization: N cores take ~N times the per-core cost.
-        two = smp_contention_cycles("lock", 2)
-        eight = smp_contention_cycles("lock", 8)
+        two = smp_contention_cycles("lock", config=smp_contention_config(2))
+        eight = smp_contention_cycles("lock", config=smp_contention_config(8))
         assert 3.5 < eight / two < 4.5
 
     def test_csb_run_actually_conflicts(self):

@@ -3,20 +3,18 @@
 ``csb-figures --tier sampled`` (or any ``--sample KEY=VALUE`` override)
 must thread a :class:`~repro.common.config.SamplingConfig` into every
 sweep job, land sampled results in cache entries disjoint from detailed
-ones, and leave ineligible jobs (SMP, preemptive quanta, faults) running
-fully detailed.  With sampling off, nothing anywhere may change — the
-default tier stays byte-identical to the pre-tiered engine.
+ones, and leave ineligible jobs (SMP, preemptive quanta, faults, point
+jobs) running fully detailed.  With sampling off, nothing anywhere may
+change — the default tier stays byte-identical to the pre-tiered engine.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
 from repro.common.config import SamplingConfig
 from repro.evaluation.cli import _parser, _sampling_from_args, main
-from repro.evaluation.experiments import experiment_ids, ignores_runner
+from repro.evaluation.experiments import run_experiment
 from repro.evaluation.runner import ResultCache, SimJob, SweepRunner, job_key
 from repro.workloads.random_programs import (
     MARK_END,
@@ -112,64 +110,30 @@ class TestRunnerRewrite:
         assert SweepRunner(jobs=1, sampling=None).run([job]) == baseline
 
 
-class TestStudiesOutsideTheRunner:
-    """Studies that run their own simulations never see the runner's tier
-    or overrides; the CLI says so instead of staying silent."""
+class TestPointJobsUnderTheSampledTier:
+    """A point job builds its own systems, so the sampled tier cannot
+    reach them: each point runs detailed and is named as a fallback."""
 
-    def test_the_registry_marks_them(self):
-        assert [e for e in experiment_ids() if ignores_runner(e)] == [
-            "blockstore",
-            "crossover",
-            "fault-sweep",
-            "loaded-bus",
-            "loaded-bus-misses",
-            "pingpong",
-            "smp-contention",
-            "sync-mechanisms",
-        ]
-
-    def test_sampled_tier_is_noted(self, capsys):
+    def test_each_point_is_noted(self, capsys):
         assert main(["smp-contention", "--tier", "sampled", "--no-cache"]) == 0
         err = capsys.readouterr().err
         notes = [line for line in err.splitlines() if line.startswith("note:")]
         assert notes == [
-            "note: smp-contention runs outside the sweep runner and "
-            "ignores --tier sampled"
+            f"note: smp-contention-{mechanism}-{cores} is ineligible for "
+            "sampling and runs at the detailed tier (a point job builds its "
+            "own systems)"
+            for cores in (2, 4, 8)
+            for mechanism in ("lock", "csb")
         ]
-        assert "[0 simulated, 0 cached, 1 outside the runner," in err
+        assert "[6 simulated, 0 cached," in err
 
-    def test_one_note_per_table_naming_each_flag(self, capsys):
-        argv = ["sync-mechanisms", "crossover", "fig3a", "--no-cache"]
-        argv += ["--sample", "window_cycles=800", "--mem", "enabled=false"]
-        assert main(argv) == 0
-        err = capsys.readouterr().err
-        notes = [line for line in err.splitlines() if line.startswith("note:")]
-        assert notes == [
-            f"note: {study} runs outside the sweep runner and ignores "
-            "--tier sampled and --mem"
-            for study in ("sync-mechanisms", "crossover")
-        ]
-        assert ", 2 outside the runner," in err
+    def test_sampled_point_table_is_the_detailed_table(self):
+        runner = SweepRunner(sampling=SAMPLING, log=lambda message: None)
+        sampled = run_experiment("blockstore", runner).to_csv()
+        assert sampled == run_experiment("blockstore").to_csv()
+        assert len(runner.sampling_fallbacks) == runner.simulated == 4
 
-    def test_quiet_silences_the_note(self, capsys):
-        argv = ["sync-mechanisms", "--tier", "sampled", "--no-cache", "--quiet"]
+    def test_quiet_silences_the_notes(self, capsys):
+        argv = ["blockstore", "--tier", "sampled", "--no-cache", "--quiet"]
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
-
-    def test_flagged_warm_run_reads_the_one_table_entry(self, tmp_path, capsys):
-        # Such a study's table is the same under every flag, so a warm run
-        # with a flag it ignores is served from the entry a plain run wrote.
-        cache_dir = str(tmp_path / "cache")
-        assert main(["crossover", "--cache-dir", cache_dir, "--quiet"]) == 0
-        argv = ["crossover", "--cache-dir", cache_dir, "--mem", "mshrs=8"]
-        assert main(argv) == 0
-        err = capsys.readouterr().err
-        assert "[0 simulated, 1 cached" in err
-        entries = [name for name in os.listdir(cache_dir) if name.endswith(".json")]
-        assert len(entries) == 1
-
-    def test_no_note_without_an_ignored_flag(self, capsys):
-        assert main(["sync-mechanisms", "--no-cache"]) == 0
-        err = capsys.readouterr().err
-        assert "note:" not in err
-        assert ", 1 outside the runner," in err
