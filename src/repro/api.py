@@ -224,25 +224,31 @@ def run_experiment(
     (which pins *every* section — it collapses a sweep's varying
     dimension, so overrides mappings are usually what you want), or
     None.  Overrides ride on the runner, so they reach every simulation
-    point of every experiment.
+    point of every experiment; a caller's runner gets its own overrides
+    back when the experiment returns.
     """
     from repro.common.serialize import config_to_dict
     from repro.evaluation.experiments import run_experiment as _run
     from repro.evaluation.runner import default_runner
 
-    if config is not None:
-        if isinstance(config, SystemConfig):
-            overrides = config_to_dict(config)
-        elif isinstance(config, Mapping):
-            overrides = dict(config)
-        else:
-            raise ConfigError(
-                f"expected a SystemConfig, an overrides mapping, or None; "
-                f"got {type(config).__name__}"
-            )
-        # Fail fast on unknown sections/fields before any simulation runs.
-        apply_overrides(SystemConfig(), overrides)
-        if runner is None:
-            runner = default_runner()
-        runner.overrides = overrides
-    return _run(experiment_id, runner)
+    if config is None:
+        return _run(experiment_id, runner)
+    if isinstance(config, SystemConfig):
+        overrides = config_to_dict(config)
+    elif isinstance(config, Mapping):
+        overrides = dict(config)
+    else:
+        raise ConfigError(
+            f"expected a SystemConfig, an overrides mapping, or None; "
+            f"got {type(config).__name__}"
+        )
+    # Fail fast on unknown sections/fields before any simulation runs.
+    apply_overrides(SystemConfig(), overrides)
+    if runner is None:
+        runner = default_runner()
+    previous = runner.overrides
+    runner.overrides = overrides
+    try:
+        return _run(experiment_id, runner)
+    finally:
+        runner.overrides = previous

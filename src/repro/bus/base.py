@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import abc
 import heapq
+from bisect import bisect_right
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.common.config import BusConfig
@@ -48,6 +49,11 @@ class TargetRegistry:
     def __init__(self, backing: BackingStore) -> None:
         self._backing = backing
         self._targets: List[Tuple[Region, BusTarget]] = []
+        # The regions sorted by base, for a bisect per lookup (regions
+        # never overlap): their bases, ends and devices.
+        self._bases: List[int] = []
+        self._ends: List[int] = []
+        self._devices: List[BusTarget] = []
 
     def register(self, region: Region, device: BusTarget) -> None:
         for existing, _ in self._targets:
@@ -56,6 +62,10 @@ class TargetRegistry:
                     f"device region {region.name!r} overlaps {existing.name!r}"
                 )
         self._targets.append((region, device))
+        index = bisect_right(self._bases, region.base)
+        self._bases.insert(index, region.base)
+        self._ends.insert(index, region.end)
+        self._devices.insert(index, device)
 
     def write(self, address: int, data: bytes) -> None:
         device = self._device_at(address)
@@ -75,9 +85,9 @@ class TargetRegistry:
         return self._device_at(address)
 
     def _device_at(self, address: int) -> Optional[BusTarget]:
-        for region, device in self._targets:
-            if region.contains(address):
-                return device
+        index = bisect_right(self._bases, address) - 1
+        if index >= 0 and address < self._ends[index]:
+            return self._devices[index]
         return None
 
 
@@ -107,9 +117,8 @@ class SystemBus(abc.ABC):
         self._busy_until = -1
         # Min-heap of (end_cycle, sequence, transaction) pending completion.
         self._pending: List[Tuple[int, int, BusTransaction]] = []
-        #: Transactions accepted so far.  A sleeping core watches it: an
-        #: acceptance is the only way a bus cycle changes what the core
-        #: polls (uncached buffer, CSB line buffers, barrier_clear).
+        #: Transactions accepted so far (it also orders completions that
+        #: fall in the same bus cycle).
         self.accepted = 0
         self._transactions = stats.handle("bus.transactions")
         self._bytes_wire = stats.handle("bus.bytes_wire")
@@ -291,6 +300,11 @@ class SystemBus(abc.ABC):
     @property
     def next_start_allowed(self) -> int:
         return self._next_start_allowed
+
+    def completing(self, bus_cycle: int) -> List[BusTransaction]:
+        """The in-flight transactions :meth:`tick` would complete at
+        ``bus_cycle``."""
+        return [txn for end, _, txn in self._pending if end <= bus_cycle]
 
     @property
     def next_completion(self) -> Optional[int]:

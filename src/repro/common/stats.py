@@ -99,6 +99,8 @@ class CounterHandle:
     :meth:`StatsCollector.bump`, which looks the counter up by name on
     every event.  A handle that is never bumped mints nothing, so the
     collector's keys and creation order are the ones ``bump`` would give.
+    A bump is also written to the collector's :attr:`~StatsCollector
+    .journal` while one is open.
     """
 
     __slots__ = ("_stats", "name", "_counter")
@@ -113,6 +115,9 @@ class CounterHandle:
         if counter is None:
             counter = self._counter = self._stats.counter(self.name)
         counter.value += amount
+        journal = self._stats.journal
+        if journal is not None:
+            journal.append((counter, amount))
 
 
 @dataclass
@@ -383,6 +388,12 @@ class StatsCollector:
         # Set only by condense_transactions(); ordinary runs keep the full
         # per-record list and this stays None.
         self._condensed: Optional[_CondensedTransactions] = None
+        #: While open (a list), every increment made through a handle or
+        #: :meth:`bump`, as ``(counter, amount)`` in bump order; None
+        #: while closed.  A core opens it around a probed tick, so what a
+        #: quiet tick added is read off it, whatever the number of
+        #: counters (see ``Core._quiet_probe``).
+        self.journal: Optional[List[Tuple[Counter, int]]] = None
 
     def counter(self, name: str) -> Counter:
         """Return (creating if needed) the counter called ``name``."""
@@ -393,7 +404,10 @@ class StatsCollector:
         return counter
 
     def bump(self, name: str, amount: int = 1) -> None:
-        self.counter(name).add(amount)
+        counter = self.counter(name)
+        counter.add(amount)
+        if self.journal is not None:
+            self.journal.append((counter, amount))
 
     def handle(self, name: str) -> CounterHandle:
         """A :class:`CounterHandle` for ``name``: it mints the counter on

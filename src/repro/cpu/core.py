@@ -122,6 +122,14 @@ class Core:
         self._n_issued = stats.counter("core.issued")
         self._n_retired = stats.counter("core.retired")
         self._n_branches = stats.counter("core.branches")
+        #: The counters bumped without a handle, so outside the journal
+        #: (see _spin_probe); they move only with progress.
+        self._progress_counters = (
+            self._n_dispatched,
+            self._n_issued,
+            self._n_retired,
+            self._n_branches,
+        )
         # Per-event counters, each minted on its first bump.
         self._rob_full_stalls = stats.handle("core.rob_full_stalls")
         self._memq_full_stalls = stats.handle("core.memq_full_stalls")
@@ -145,16 +153,17 @@ class Core:
         self._last_progress = 0
         self.now = 0
         # Quiet-tick sleeping (see tick): while asleep the core skips its
-        # stages, until ``_sleep_until`` or until the bus accepts a
-        # transaction (its count moves off ``_sleep_bus_mark``).  One quiet
+        # stages, until ``_sleep_until`` or until its uncached path changes
+        # (the buffer's wake mark moves off ``_sleep_mark``).  One quiet
         # tick's counter increments, the ledger, are owed for every slept
         # cycle and paid at once by _settle, up to the cycle it is given;
         # ``_settled`` is the last cycle paid for.
-        self._bus = uncached_unit.bus
+        self._buffer = uncached_unit.buffer
         self._sleep_until = 0
-        self._sleep_bus_mark = 0
+        self._sleep_mark = 0
         self._sleep_ledger: List[Tuple[Counter, int]] = []
         self._sleep_mshr_stalls = 0
+        self._sleep_tlb_hits = 0
         self._settled = 0
         #: no ROB entry's ``ready_at`` lies after this cycle (see _wake_cycle)
         self._horizon = 0
@@ -275,14 +284,17 @@ class Core:
 
         A stalled core sleeps instead of re-running its stages.  A *quiet*
         tick dispatches, issues, retires and transitions nothing; it only
-        bumps stall counters.  After a quiet tick that was probed (its
-        pipeline state and counters recorded around it), the core sleeps
-        until the earliest cycle one of its own timers could change the
-        outcome, owing that tick's counter increments for each cycle.
-        It wakes early when the bus accepts a transaction — the only way a
-        bus cycle changes the uncached buffer, the CSB line buffers or
-        ``barrier_clear`` — and when :meth:`wake` is called: a value
-        delivery, an interrupt, a drain request or a context change.
+        bumps stall counters and looks pages up in the TLB.  After a quiet
+        tick that was probed (its pipeline state recorded around it and
+        its counter increments journaled), the core sleeps until the
+        earliest cycle one of its own timers could change the outcome,
+        owing that tick's increments and TLB hits for each cycle.
+        It wakes early when its uncached buffer's wake mark moves: the
+        buffer stops being full or becomes empty, or the shared CSB frees
+        a line buffer, the only ways the uncached side changes an answer
+        it gave the retire stage.  It wakes too when :meth:`wake` is
+        called: a value delivery, an interrupt, a drain request or a
+        context change.
 
         A *spinning* core sleeps too (see :meth:`_try_spin`): after a
         probed tick in a register-only loop's period-1 steady state, it
@@ -302,27 +314,33 @@ class Core:
         woke = False
         if self._sleep_until:
             if now < self._sleep_until and (
-                self._bus.accepted == self._sleep_bus_mark or self._spin is not None
+                self._buffer.wake_mark == self._sleep_mark or self._spin is not None
             ):
                 return
-            # Woken by the bus or a timer: pay for the cycles slept and
-            # probe at once.  Often nothing changed for this core (another
-            # initiator's transaction), and otherwise the stall usually
-            # resumes right after this tick.
+            # Woken by the uncached path or a timer: pay for the cycles
+            # slept and probe at once (the stall often resumes right after
+            # this tick).
             self._settle(now - 1)
             self._spin = None
             self._sleep_until = 0
             woke = self._armed = True
-        probe = self._quiet_probe() if self._armed else None
-        spin_probe = self._spin_probe(now) if self._spin_armed else None
+        if self._armed or self._spin_armed:
+            journal = self.stats.journal = []
+            probe = self._quiet_probe(journal) if self._armed else None
+            spin_probe = self._spin_probe(now, journal) if self._spin_armed else None
+        else:
+            journal = probe = spin_probe = None
         self.fus.new_cycle()
         self._retire(now)
         if self._interrupt_pending and self._try_squash():
+            self.stats.journal = None
             return
         self._issue(now)
         self._memq_issue(now)
         if not self._drain_requested and not self._fetch_stopped:
             self._dispatch(now)
+        if journal is not None:
+            self.stats.journal = None
         if not self._rob:
             self._last_progress = now  # idle, not stuck
         if now - self._last_progress > 50_000:
@@ -395,46 +413,43 @@ class Core:
             else (head.mem_state, head.ready_at, head.value_known, head.cache_issued),
         )
 
-    def _quiet_probe(self) -> tuple:
-        """State and counters before a probed tick."""
+    def _quiet_probe(self, journal: List[Tuple[Counter, int]]) -> tuple:
+        """What a probed tick is judged by: the pipeline state before it,
+        the counter journal the tick opened for it, and the counts that
+        live outside the collector, the D-cache's MSHR stall cycles and
+        the TLB's hits and misses.
+
+        The journal makes the ledger cost what the tick bumped, not the
+        number of counters: every handle bump lands in it, and the four
+        counters the stages bump directly (``_progress_counters``) move
+        only in a tick that is not quiet.
+        """
         mshr_stalls = self.dcache.mshr_stall_cycles if self.dcache else 0
-        return self._pipeline_state(), self._counts(), mshr_stalls
-
-    def _counts(self) -> List[int]:
-        """Every counter's value, in the collector's creation order."""
-        return [counter.value for counter in self.stats.live_counters()]
-
-    def _ledger(self, before: List[int]) -> List[Tuple[Counter, int]]:
-        """What one slept cycle re-applies: each counter's increment since
-        ``before`` was taken, at the start of the probed tick (later
-        counts would include other cores' increments).  Counters are
-        never removed, so ``before`` lines up with the oldest ones; a
-        counter minted since started at 0."""
-        live = list(self.stats.live_counters())
-        ledger = [
-            (counter, counter.value - value)
-            for counter, value in zip(live, before)
-            if counter.value != value
-        ]
-        ledger += [
-            (counter, counter.value) for counter in live[len(before):] if counter.value
-        ]
-        return ledger
+        tlb = self.tlb
+        return self._pipeline_state(), journal, mshr_stalls, tlb.hits, tlb.misses
 
     def _try_sleep(self, now: int, probe: tuple) -> None:
-        """Fall asleep after a probed tick that turned out quiet."""
-        state, before, mshr_stalls = probe
-        if not self._rob or self._pipeline_state() != state:
+        """Fall asleep after a probed tick that turned out quiet.  A tick
+        whose TLB lookup missed is not quiet: the page is cached now, so
+        the next lookup would hit."""
+        state, journal, mshr_stalls, tlb_hits, tlb_misses = probe
+        tlb = self.tlb
+        if (
+            not self._rob
+            or tlb.misses != tlb_misses
+            or self._pipeline_state() != state
+        ):
             return
         wake = self._wake_cycle(now)
         if wake <= now + 1:
             return
-        self._sleep_ledger = self._ledger(before)
+        self._sleep_ledger = journal
         self._sleep_mshr_stalls = (
             self.dcache.mshr_stall_cycles - mshr_stalls if self.dcache else 0
         )
+        self._sleep_tlb_hits = tlb.hits - tlb_hits
         self._sleep_until = wake
-        self._sleep_bus_mark = self._bus.accepted
+        self._sleep_mark = self._buffer.wake_mark
         self._settled = now
 
     def _wake_cycle(self, now: int) -> int:
@@ -551,10 +566,12 @@ class Core:
             self._last_progress - cycle,
         )
 
-    def _spin_probe(self, now: int) -> tuple:
-        """State, counters and ``_seq`` before a probed spinning tick."""
+    def _spin_probe(self, now: int, journal: List[Tuple[Counter, int]]) -> tuple:
+        """State, the counter journal, the progress counters and ``_seq``
+        before a probed spinning tick."""
         self._spin_armed = False
-        return self._spin_state(now), self._counts(), self._seq
+        progress = [counter.value for counter in self._progress_counters]
+        return self._spin_state(now), journal, progress, self._seq
 
     def _try_spin(self, now: int, probe: tuple) -> None:
         """Fall asleep after a probed tick that turned out to be one period
@@ -571,7 +588,7 @@ class Core:
         state (``int_latency=2``, say) fails the probe and ticks through.
         After a failed probe the next waits two cycles.
         """
-        state, before, seq = probe
+        state, journal, progress, seq = probe
         if not self._spinning() or self._spin_state(now + 1) != state:
             self._spin_retry = now + 2
             return
@@ -583,8 +600,12 @@ class Core:
         wake = self._spin_exit(now, loop, iterations)
         if wake <= now + 1:
             return
-        self._sleep_ledger = self._ledger(before)
-        self._sleep_mshr_stalls = 0
+        self._sleep_ledger = journal + [
+            (counter, counter.value - value)
+            for counter, value in zip(self._progress_counters, progress)
+            if counter.value != value
+        ]
+        self._sleep_mshr_stalls = self._sleep_tlb_hits = 0
         addends = {reg: (step * iterations) & MASK64 for reg, step in loop.steps}
         self._spin = (self._seq - seq, addends)
         self._settled = now
@@ -632,12 +653,14 @@ class Core:
             self._shift(cycles)
 
     def _pay(self, cycles: int) -> None:
-        """Re-apply the sleep ledger (and the D-cache's MSHR stall cycles)
-        once per slept cycle, in one pass."""
+        """Re-apply the sleep ledger (and the D-cache's MSHR stall cycles
+        and the TLB's hits) once per slept cycle, in one pass."""
         for counter, amount in self._sleep_ledger:
             counter.value += amount * cycles
         if self._sleep_mshr_stalls:
             self.dcache.mshr_stall_cycles += self._sleep_mshr_stalls * cycles
+        if self._sleep_tlb_hits:
+            self.tlb.hits += self._sleep_tlb_hits * cycles
         self.slept_ticks += cycles
 
     def _shift(self, periods: int) -> None:
@@ -684,9 +707,11 @@ class Core:
     def next_event(self, now: int) -> Optional[int]:
         """Earliest cycle, from ``now`` on, at which this core must be
         ticked (the System's clock jump): None without a live context,
-        ``now`` while awake, else the end of its sleep.  A bus acceptance
-        needs no check here: the arbiter grants before the cores tick, so
-        the core already woke in the cycle it happened."""
+        ``now`` while awake, else the end of its sleep.  The wake mark
+        needs no check here: it moves only inside the bus arbiter's tick
+        (a grant that pops a buffer entry or a CSB burst, a load
+        completing), which comes before the cores' ticks, so the core
+        already woke in the cycle it moved."""
         context = self.context
         if context is None or context.halted:
             return None
@@ -700,7 +725,7 @@ class Core:
             "cycle": self.now,
             "cores": [core.snapshot() for core in self.machine_cores],
             "csb_pending_bursts": self.unit.csb.pending_bursts,
-            "bus_in_flight": self._bus.in_flight(),
+            "bus_in_flight": self.unit.bus.in_flight(),
         }
 
     def snapshot(self) -> Dict[str, object]:

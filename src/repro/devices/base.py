@@ -18,8 +18,9 @@ class Device(abc.ABC):
     #: from ``a`` to ``b`` would, as long as nothing but those ticks changes
     #: the device in between.  Only a bus transaction reaching it may.  The
     #: System's clock driver then ticks it only on its first tick, at the
-    #: bus cycle before any transaction completes (one may reach it), and
-    #: when :meth:`~repro.sim.system.System.advance` returns.
+    #: bus cycle before a transaction that reaches it (directly or through
+    #: a :class:`DeviceAlias`) completes, and when
+    #: :meth:`~repro.sim.system.System.advance` returns.
     integrates_gaps = False
 
     def __init__(self, region: Region, name: str = "") -> None:

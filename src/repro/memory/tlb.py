@@ -6,6 +6,12 @@ path explicit and lets tests assert that attribute lookups behave like the
 hardware would (LRU replacement, per-page granularity).  TLB refills are
 assumed free — the microbenchmark kernels touch a handful of pages, so a
 miss-cost model would only add noise.
+
+A sleeping core skips the lookups its stalled retries would make and
+pays their hits at once (``Core._pay``), so :attr:`AttributeTLB.hits`
+and ``misses`` read what ticking every cycle gives.  The LRU moves of
+those lookups are skipped; no run can tell, since none touches more than
+3 pages of the 64 entries, so nothing is ever evicted.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ cycle-identical to the historical single-initiator system.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError, DeadlockError
@@ -25,7 +25,7 @@ from repro.bus.factory import make_bus
 from repro.cpu.context import ProcessContext
 from repro.cpu.core import Core
 from repro.cpu.trace import PipelineTrace
-from repro.devices.base import Device
+from repro.devices.base import Device, DeviceAlias
 from repro.isa.program import Program
 from repro.memory.backing import BackingStore
 from repro.memory.hierarchy import MemoryHierarchy
@@ -169,9 +169,12 @@ class System:
         )
         self.devices: List[Device] = []
         # What the clock driver ticks of them (see advance): the devices
-        # that override ``tick``, split by whether it integrates gaps.
+        # that override ``tick``, split by whether it integrates gaps, and
+        # for each device that is or fronts a gap-integrating one, that
+        # one (what a transaction to it reaches).
         self._ticked_devices: List[Device] = []
         self._gap_devices: List[Device] = []
+        self._gap_reached: Dict[object, Device] = {}
         # Fault injection (repro.faults): a plan exists only when at least
         # one rate is nonzero, so fault-free runs keep every hook on its
         # ``faults is None`` fast path and stay byte-identical to a build
@@ -232,6 +235,11 @@ class System:
             self._gap_devices.append(device)
         elif type(device).tick is not Device.tick:
             self._ticked_devices.append(device)
+        reached = device
+        while isinstance(reached, DeviceAlias):
+            reached = reached.target
+        if reached.integrates_gaps:
+            self._gap_reached[device] = reached
         device.faults = self.faults
         self.observability.wire_device(device)
         return device
@@ -308,9 +316,9 @@ class System:
         * on bus cycles the arbiter and every device that overrides
           ``tick``, except a device that :attr:`~repro.devices.base
           .Device.integrates_gaps`: that one is ticked at its first bus
-          cycle here, at the bus cycle before a transaction completes
-          (when one may reach it) and at the last bus cycle when the
-          driver returns.
+          cycle here, at the bus cycle before a transaction that reaches
+          it completes (:meth:`_catch_up`) and at the last bus cycle when
+          the driver returns.
 
         The device lists are read by reference, so a device a feed
         attaches is ticked.  While every core is asleep or has no live
@@ -400,8 +408,7 @@ class System:
                     if lazy:  # a completing transaction may reach one
                         due = bus.next_completion
                         if due is not None and due <= bus_cycle:
-                            for device in lazy:
-                                device.tick(bus_cycle - 1)
+                            self._catch_up(bus_cycle, lazy)
                     arbiter_tick(bus_cycle)
                     for device in ticked:
                         device.tick(bus_cycle)
@@ -428,6 +435,21 @@ class System:
             for core in cores:
                 core.settle()
         return cycle - start
+
+    def _catch_up(self, bus_cycle: int, lazy: List[Device]) -> None:
+        """Tick at the bus cycle before ``bus_cycle`` each lazily ticked
+        device that a transaction completing at ``bus_cycle`` reaches (for
+        an alias, the device it fronts), so the transaction finds the
+        device as ticking every bus cycle would have left it.  No other
+        device can tell: only a transaction reaching it changes one
+        between ticks (:attr:`~repro.devices.base.Device.integrates_gaps`).
+        """
+        device_at = self.targets.device_at
+        reached = self._gap_reached
+        for txn in self.bus.completing(bus_cycle):
+            device = reached.get(device_at(txn.address))
+            if device is not None and device in lazy:
+                device.tick(bus_cycle - 1)
 
     def _next_event(self, cycle: int, limit: int) -> int:
         """The earliest cycle, from ``cycle`` on and at most ``limit``, at

@@ -61,6 +61,12 @@ class UncachedBuffer:
         # Transactions of the head store entry, frozen at first issue.
         self._head_plan: Optional[List[Tuple[int, int, bytes]]] = None
         self._pending_load_txn: Optional[BusTransaction] = None
+        #: Moves when this buffer stops being full or becomes empty, and
+        #: when the shared CSB frees a line buffer (see
+        #: :meth:`ConditionalStoreBuffer.pop_burst`): the only changes on
+        #: the uncached path that a stalled retire stage can see.  A
+        #: sleeping core wakes when it moves (``Core.tick``).
+        self.wake_mark = 0
         self._stores_combined = stats.handle("uncached.stores_combined")
         self._full_stalls = stats.handle("uncached.full_stalls")
         self._entries_allocated = stats.handle("uncached.entries_allocated")
@@ -177,6 +183,7 @@ class UncachedBuffer:
         if not self._entries or self._entries[0] is not head:
             raise SimulationError("uncached load completed out of FIFO order")
         self._entries.popleft()
+        self._popped()
         txn = self._pending_load_txn
         self._pending_load_txn = None
         assert txn is not None and txn.result_data is not None
@@ -209,7 +216,17 @@ class UncachedBuffer:
         if not self._head_plan:
             self._entries.popleft()
             self._head_plan = None
+            self._popped()
         return True
+
+    def _popped(self) -> None:
+        """The head entry left.  Only now can the core's refused issues
+        change their answer: a full buffer refuses whatever cannot combine,
+        and nothing but a pop makes room or a new combining candidate
+        (freezing the head takes one away); a ``membar`` waits for empty."""
+        left = len(self._entries)
+        if not left or left == self.config.depth - 1:
+            self.wake_mark += 1
 
     # -- state queries ----------------------------------------------------------
 

@@ -32,13 +32,16 @@ the previous burst is still queued (paper §3.2's pipelining extension).
 from __future__ import annotations
 
 import enum
-from typing import Deque, Optional
+from typing import TYPE_CHECKING, Deque, List, Optional
 from collections import deque
 
 from repro.common.bitops import block_base
 from repro.common.config import CSBConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import StatsCollector
+
+if TYPE_CHECKING:
+    from repro.uncached.buffer import UncachedBuffer
 
 
 class FlushResult(enum.Enum):
@@ -90,6 +93,10 @@ class ConditionalStoreBuffer:
         self._valid = 0
         self._hit_counter = 0
         self._pending: Deque[PendingBurst] = deque()
+        #: The uncached buffers of the cores sharing this CSB (each
+        #: :class:`~repro.uncached.unit.UncachedUnit` adds its own): a
+        #: freed line buffer moves every one's ``wake_mark``.
+        self.sharers: List["UncachedBuffer"] = []
         self._sequences_started = stats.handle("csb.sequences_started")
         self._stores = stats.handle("csb.stores")
         self._spurious_aborts = stats.handle("faults.csb_spurious_abort")
@@ -236,9 +243,16 @@ class ConditionalStoreBuffer:
         return self._pending[0] if self._pending else None
 
     def pop_burst(self) -> PendingBurst:
+        """Hand the oldest burst to the bus.  When that frees a line
+        buffer, a combining store or flush stalled on any sharing core
+        may go on: wake them all."""
         if not self._pending:
             raise SimulationError("no pending CSB burst")
-        return self._pending.popleft()
+        burst = self._pending.popleft()
+        if len(self._pending) == self.config.num_line_buffers - 1:
+            for buffer in self.sharers:
+                buffer.wake_mark += 1
+        return burst
 
     # -- architectural state hand-off (tiered execution) ------------------------
 

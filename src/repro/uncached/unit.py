@@ -52,6 +52,7 @@ class UncachedUnit:
     ) -> None:
         self.buffer = buffer
         self.csb = csb
+        csb.sharers.append(buffer)
         self.bus = bus
         self.tlb = tlb
         self.stats = stats

@@ -65,11 +65,12 @@ def run_asm(
 
 def run_signature(system: System) -> dict:
     """Everything a run computes, for comparing two ways of running it:
-    the cycle, every counter, the marks, the transaction records, the
-    metrics snapshot and the pipeline trace."""
+    the cycle, every counter, the TLB's hits and misses, the marks, the
+    transaction records, the metrics snapshot and the pipeline trace."""
     return {
         "cycle": system.cycle,
         "stats": system.stats.as_dict(),
+        "tlb": (system.tlb.hits, system.tlb.misses),
         "marks": dict(system.stats.marks),
         "transactions": list(system.stats.transactions),
         "metrics": system.metrics().to_dict(),

@@ -5,7 +5,9 @@ study: one Figure 3/4 bandwidth point per scheme row (the R10000 and
 PowerPC 620 policies included), Figure 5(a) with the lock and with the
 CSB, the four-core contention system with each mechanism, a run with
 bus faults and spurious CSB aborts, a D-cache run and a two-core
-streamed trace replay.  For each, the golden file holds the whole
+streamed trace replay under each discipline (the uncached and lock
+replays stall one core on its uncached buffer while the other's
+transactions go by).  For each, the golden file holds the whole
 ``StatsCollector.as_dict()`` in order, the order the counters were minted
 in (a counter minted before its first bump shows up in both), the TLB's
 hits and misses, the marks and the final cycle.  A change that only
@@ -109,15 +111,18 @@ def _dcache() -> System:
     return system
 
 
-def _replay() -> System:
-    workload = TraceWorkload(
-        name="pins",
-        source="synth:n=60,seed=3,gap=20,devices=4,skew=1.0,sizes=8:3/64:1",
-        discipline="csb",
-    )
-    replay = TraceReplay(workload, SystemConfig(num_cores=2), 50_000_000)
-    replay.run()
-    return replay.system
+def _replay(discipline: str) -> Callable[[], System]:
+    def run() -> System:
+        workload = TraceWorkload(
+            name="pins",
+            source="synth:n=60,seed=3,gap=20,devices=4,skew=1.0,sizes=8:3/64:1",
+            discipline=discipline,
+        )
+        replay = TraceReplay(workload, SystemConfig(num_cores=2), 50_000_000)
+        replay.run()
+        return replay.system
+
+    return run
 
 
 RUNS: Dict[str, Callable[[], System]] = {
@@ -140,7 +145,10 @@ RUNS: Dict[str, Callable[[], System]] = {
     "smp-contention-csb-4": _contention("csb"),
     "faulted": _faulted,
     "dcache": _dcache,
-    "replay-2core-csb": _replay,
+    **{
+        f"replay-2core-{discipline}": _replay(discipline)
+        for discipline in ("uncached", "lock", "csb")
+    },
 }
 
 

@@ -108,6 +108,20 @@ class TestRunExperimentConfig:
         assert cached.columns == baseline.columns
         assert cached.rows != baseline.rows
 
+    def test_a_callers_runner_gets_its_overrides_back(self):
+        # A config rides on the caller's runner for one experiment only: a
+        # second run without one returns the default table.
+        from repro.evaluation.runner import SweepRunner
+
+        runner = SweepRunner(jobs=1, cache=None)
+        before = runner.overrides
+        cached = run_experiment("fig5a", {"mem": {"enabled": True}}, runner=runner)
+        assert runner.overrides == before
+        default = run_experiment("fig5a", runner=runner)
+        assert default.rows != cached.rows
+        assert default.rows == run_experiment("fig5a").rows
+        assert runner.overrides == before
+
     def test_unknown_override_fails_fast(self):
         with pytest.raises(ConfigError):
             run_experiment("fig5a", {"mem": {"bogus": 1}})

@@ -214,11 +214,13 @@ def test_two_core_streamed_replay(monkeypatch):
 # -- gap-integrating devices, ticked lazily ------------------------------------
 
 
-def _ring_kernel(base, lead=0, span=3_000):
-    """Stores into the ring at ``base`` and reads its registers back; each
-    burst follows a register-only countdown of ``span`` trips, long spans
-    no transaction touches (the core spins and the driver jumps them).
-    A ``lead`` countdown first makes the ring's first write come mid-run."""
+def _ring_kernel(bases, lead=0, span=3_000):
+    """Stores into the ring at each of ``bases`` in turn and reads its
+    registers back (summed into %l5); each burst follows a register-only
+    countdown of ``span`` trips, long spans no transaction touches (the
+    core spins and the driver jumps them), so the transactions reach one
+    ring at a time.  A ``lead`` countdown first makes the first write
+    come mid-run."""
 
     def wait(label, trips):
         return [
@@ -228,33 +230,57 @@ def _ring_kernel(base, lead=0, span=3_000):
             f"brnz %l6, .{label}",
         ]
 
-    lines = [f"set {base}, %o0", "set 1, %l0"]
+    lines = ["set 1, %l0", "set 0, %l5"]
     if lead:
         lines += wait("LEAD", lead)
-    lines += ["stx %l0, [%o0]"] * 4
-    lines += wait("GAP1", span)
-    lines += ["ldx [%o0+8], %l1", "stx %l0, [%o0]", "ldx [%o0], %l2"]
-    lines += wait("GAP2", span)
-    lines += ["ldx [%o0+16], %l3", "ldx [%o0+24], %l4", "halt"]
+    for k, base in enumerate(bases):
+        lines += [f"set {base}, %o0"]
+        lines += ["stx %l0, [%o0]"] * 4
+        lines += wait(f"GAP{k}A", span)
+        lines += ["ldx [%o0+8], %l1", "stx %l0, [%o0]", "ldx [%o0], %l2"]
+        lines += wait(f"GAP{k}B", span)
+        lines += ["ldx [%o0+16], %l3", "ldx [%o0+24], %l4"]
+        lines += [f"add %l5, %l{reg}, %l5" for reg in (1, 2, 3, 4)]
+    lines.append("halt")
     return "\n".join(lines)
 
 
-def _lazy_ring_system(lead=0):
-    """One core and one small ring that overflows and drains."""
-    system = System(SystemConfig())
-    base, size = ring_region(0)
-    region = Region(base, size, PageAttr.UNCACHED, "ring0")
-    ring = DescriptorRing(region, capacity=2, service_cycles=16, name="ring0")
+def _small_ring(system, index):
+    """Attach a ring that overflows and drains: capacity 2, one drain
+    every 16 bus cycles."""
+    base, size = ring_region(index)
+    region = Region(base, size, PageAttr.UNCACHED, f"ring{index}")
+    ring = DescriptorRing(region, capacity=2, service_cycles=16, name=f"ring{index}")
     system.attach_device(ring)
-    system.add_process(assemble(_ring_kernel(base, lead), name="ring"))
+    return ring
+
+
+def _lazy_ring_system(lead=0):
+    """One core and one small ring."""
+    system = System(SystemConfig())
+    ring = _small_ring(system, 0)
+    system.add_process(assemble(_ring_kernel([ring.region.base], lead), name="ring"))
     return system, ring
 
 
-def _ring_run(system, ring):
-    """The run signature, the ring's state and the registers the program
-    read the ring's counters into."""
+def _lazy_rings_system(count=4):
+    """One core and ``count`` small rings, written and read one ring at a
+    time; the last one through a plain-uncached alias."""
+    system = System(SystemConfig())
+    rings = [_small_ring(system, index) for index in range(count)]
+    base, size = ring_region(count)
+    alias = Region(base, size, PageAttr.UNCACHED, "alias")
+    system.attach_device(DeviceAlias(alias, rings[-1]))
+    bases = [ring.region.base for ring in rings[:-1]] + [base]
+    system.add_process(assemble(_ring_kernel(bases, span=500), name="rings"))
+    return system, rings
+
+
+def _ring_run(system, *rings):
+    """The run signature, the rings' states and the registers the program
+    read the rings' counters into."""
     signature = run_signature(system)
-    signature["ring"] = ring_state(ring)
+    signature["rings"] = [ring_state(ring) for ring in rings]
     signature["registers"] = [
         process.registers.snapshot() for process in system.scheduler.processes
     ]
@@ -277,6 +303,28 @@ def test_lazy_ring_matches_stepping(lead):
     assert reference_ring.drops > 0 and reference_ring.drained > 0
     # Its first tick, one before each of the nine transactions, the end.
     assert len(calls) <= 11 < ring.ticks
+
+
+def test_lazy_rings_tick_only_where_a_transaction_lands():
+    # Four rings, the transactions reaching one at a time (the last ring's
+    # through its alias): each ring is caught up only before its own.
+    driven, rings = _lazy_rings_system()
+    calls = {}
+    for ring in rings:
+        tick = ring.tick
+        ring.tick = lambda bus_cycle, ring=ring, tick=tick: (
+            calls.setdefault(ring.name, []).append(bus_cycle) or tick(bus_cycle)
+        )
+    driven.run(max_cycles=MAX_CYCLES)
+    reference, reference_rings = _lazy_rings_system()
+    stepped(reference)
+    assert _ring_run(driven, *rings) == _ring_run(reference, *reference_rings)
+    assert driven.stats.get("bus.transactions") == 36
+    for ring in reference_rings:
+        assert ring.drops > 0 and ring.drained > 0
+    # Each ring: its first tick, one before each of its nine
+    # transactions, the end.
+    assert [len(calls[ring.name]) for ring in rings] == [11, 11, 11, 11]
 
 
 def test_lazy_ring_read_back_when_advance_returns_mid_span():
@@ -309,7 +357,7 @@ def test_lazy_ring_read_back_after_a_feed_clock_jump():
             if len(seen) > 2:
                 return False
             system.cycle += 4_000  # an idle gap, skipped while drained
-            system.add_process(assemble(_ring_kernel(base, span=500)))
+            system.add_process(assemble(_ring_kernel([base], span=500)))
             return True
 
         return system, ring, seen, feed

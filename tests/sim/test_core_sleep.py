@@ -3,47 +3,55 @@ the memory-queue lists change nothing a simulation computes.
 
 A stalled core sleeps instead of re-running its stages (see
 :meth:`repro.cpu.core.Core.tick`): it re-applies one quiet tick's counter
-increments each cycle until one of its timers could change the outcome,
-the bus accepts a transaction, or the scheduler or a value delivery wakes
-it.  A core spinning in a register-only countdown loop sleeps through the
-loop's steady state the same way and shifts its pipeline by the periods it
-slept when it wakes.  While every core sleeps or has no live context, the
-clock driver jumps to the earliest cycle any component could act
+increments and TLB hits each cycle until one of its timers could change
+the outcome, its uncached buffer's wake mark moves (the buffer stops
+being full or empties, or the shared CSB frees a line buffer), or the
+scheduler or a value delivery wakes it.  A core spinning in a
+register-only countdown loop sleeps through the loop's steady state the
+same way and shifts its pipeline by the periods it slept when it wakes.
+While every core sleeps or has no live context, the clock driver jumps to
+the earliest cycle any component could act
 (:meth:`repro.sim.system.System.advance`).  The issue stage parks an entry
 whose producer has no ready cycle yet until that cycle is recorded.  The
 memory-queue stage walks only the cached entries still waiting to execute
 and the accesses in flight, not the uncached entries parked for the ROB
 head.
 
-Every run in the first sections executes six times: as shipped; with the
+Every run in the first sections executes seven times: as shipped; with the
 jump disabled (``System._next_event`` monkeypatched to return the current
 cycle); with the issue stage replaced by :func:`scanning_issue`, the
 scanning issue stage kept verbatim as the reference; with the memory-queue
 stage replaced by :func:`scanning_memq`, the stage that walks all of
-``_memq``, kept verbatim; with spin sleeping off (``Core._spinning``, the
-spin trigger, monkeypatched to say no); and with all of these off and
-the dispatch and retire stages replaced by the chains the decode-bound
-handlers replaced (:data:`CHAINED`, kept verbatim), along with the
-sleep bookkeeping the O(1) probe and the lazy ledger replaced
-(:data:`PER_ENTRY`, kept verbatim).  The cycle count, every counter, the
-marks, the transaction records, the metrics snapshot, the pipeline trace
-and each process's pc, retired count and registers must agree exactly.
+``_memq``, kept verbatim; with the bus-wide wake mark (:data:`BUS_WIDE`:
+every bus acceptance wakes every core), checking at every probed quiet
+tick that the journaled ledger equals a scan of every counter
+(:func:`scanning_ledger`, kept verbatim); with spin sleeping off
+(``Core._spinning``, the spin trigger, monkeypatched to say no); and
+with all of these off and the dispatch and retire stages replaced by the
+chains the decode-bound handlers replaced (:data:`CHAINED`, kept
+verbatim), along with the sleep bookkeeping the O(1) probe and the lazy
+ledger replaced (:data:`PER_ENTRY`, kept verbatim).  The cycle count,
+every counter, the TLB's hits and misses, the marks, the transaction
+records, the metrics snapshot, the pipeline trace and each process's pc,
+retired count and registers must agree exactly.
 
-The last section runs cases as shipped and with :data:`PER_ENTRY` with
-sleeping on: at every probed quiet tick equal O(1) probe states must
-come with equal per-entry snapshots, and the results, each core's
+The last section runs cases as shipped, with :data:`PER_ENTRY` and with
+:data:`BUS_WIDE`, sleeping on: at every probed quiet tick equal O(1)
+probe states must come with equal per-entry snapshots and the journal
+must hold the scanned ledger, the results must be equal, and each core's
 ``slept_ticks`` and ``spun_ticks``, the jumped cycles and a
 ``DeadlockError``'s snapshot must equal the per-tick ledger's.
 
 Those runs attach a pipeline trace, which turns spin sleeping off.  The
 spinning-core section therefore runs with the trace off, each case twice:
-with spin sleeping off and as shipped.
+with spin sleeping off and as shipped, checking every spin sleep's ledger
+against the scanned one.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 import pytest
 
@@ -55,6 +63,7 @@ from repro.common.config import (
     SystemConfig,
 )
 from repro.common.errors import DeadlockError, SimulationError
+from repro.common.stats import Counter
 from repro.cpu.core import Core
 from repro.cpu.decode import ROUTE_ISSUE, ROUTE_ISSUED, ROUTE_MEMQ, ROUTE_UNTIMED
 from repro.cpu.inflight import InFlight, MemState
@@ -82,6 +91,7 @@ from repro.observability import JsonlSink
 from repro.sim.cluster import Cluster
 from repro.sim.sampling import run_sampled
 from repro.sim.system import System
+from repro.uncached.buffer import UncachedBuffer
 from repro.workloads.contention import contending_csb_kernel
 from repro.workloads.lockbench import DEFAULT_LOCK_ADDR
 from repro.workloads.messaging import dma_send_kernel, pio_send_kernel
@@ -107,6 +117,8 @@ _TARGETS = registry_targets()
 POLLING_PREFIXES = ("ping-", "pong-", "dma-send-")
 POLLING_WINDOW = 20_000
 MAX_CYCLES = 5_000_000
+#: A second core's uncached page, apart from the default store stream's.
+OTHER_PAGE = IO_UNCACHED_BASE + 0x10000
 
 
 def _never_sleep(self, now, probe):
@@ -193,6 +205,8 @@ def per_tick_skip(self, cycles: int, last: int) -> None:
         counter.value += amount * cycles
     if self._sleep_mshr_stalls:
         self.dcache.mshr_stall_cycles += self._sleep_mshr_stalls * cycles
+    if self._sleep_tlb_hits:
+        self.tlb.hits += self._sleep_tlb_hits * cycles
     self.slept_ticks += cycles
 
 
@@ -214,7 +228,7 @@ def per_tick_ledger_tick(self, now):
         and not context.halted
         and self._sleep_until
         and now < self._sleep_until
-        and (self._bus.accepted == self._sleep_bus_mark or self._spin is not None)
+        and (self._buffer.wake_mark == self._sleep_mark or self._spin is not None)
     )
     _shipped_tick(self, now)
     if sleeping:
@@ -237,6 +251,57 @@ PER_ENTRY = {
     (Core, "tick"): per_tick_ledger_tick,
     (System, "_skip"): per_tick_ledger_jump,
 }
+
+
+# -- the wake mark and the ledger the precise wake rule and the journal replaced --
+#
+# Kept as references: a sleeping core used to wake on every transaction
+# the bus accepted, from any initiator (``SystemBus.accepted`` was the
+# mark), and each probe read every live counter before and after the
+# probed tick (``scanning_counts`` and ``scanning_ledger``, verbatim).
+# :data:`BUS_WIDE` patches the old mark in: each buffer's wake mark (an
+# instance attribute, hence ``raising=False``) reads the bus's acceptance
+# count, and the shipped code's own moves of it are dropped.
+
+
+#: (owner, name) -> the reference patched in for it.
+BUS_WIDE = {
+    (UncachedBuffer, "wake_mark"): property(
+        lambda self: self.bus.accepted, lambda self, value: None
+    ),
+}
+
+
+def scanning_counts(self) -> List[int]:
+    """Every counter's value, in the collector's creation order."""
+    return [counter.value for counter in self.stats.live_counters()]
+
+
+def scanning_ledger(self, before: List[int]) -> List[Tuple[Counter, int]]:
+    """What one slept cycle re-applies: each counter's increment since
+    ``before`` was taken, at the start of the probed tick (later
+    counts would include other cores' increments).  Counters are
+    never removed, so ``before`` lines up with the oldest ones; a
+    counter minted since started at 0."""
+    live = list(self.stats.live_counters())
+    ledger = [
+        (counter, counter.value - value)
+        for counter, value in zip(live, before)
+        if counter.value != value
+    ]
+    ledger += [
+        (counter, counter.value) for counter in live[len(before):] if counter.value
+    ]
+    return ledger
+
+
+def _totals(ledger) -> Dict[str, int]:
+    """A ledger as counter name -> increment, zero increments left out (a
+    journal lists a counter once per bump)."""
+    totals: Dict[str, int] = {}
+    for counter, amount in ledger:
+        totals[counter.name] = totals.get(counter.name, 0) + amount
+    return {name: amount for name, amount in totals.items() if amount}
 
 
 def scanning_issue(self, now: int) -> None:
@@ -757,16 +822,18 @@ def _signature(system):
 
 
 def _both(monkeypatch, run):
-    """``run()`` as shipped and against five references.
+    """``run()`` as shipped and against six references.
 
     ``run`` returns ``(signature, systems)``.  The references are the
     shipped code with the clock jump off, the shipped code with the
     scanning issue stage, the shipped code with the scanning memory-queue
-    stage, the shipped code with spin sleeping off, and a run with
+    stage, the shipped code with the bus-wide wake mark
+    (:data:`BUS_WIDE`, its ledgers checked against scanned ones), the
+    shipped code with spin sleeping off, and a run with
     sleeping, spinning, the jump, parking and the memory-queue lists all
     off, the chained dispatch and retire stages (:data:`CHAINED`) in
     place of the decode-bound handlers and the replaced sleep
-    bookkeeping (:data:`PER_ENTRY`); the first four must equal the
+    bookkeeping (:data:`PER_ENTRY`); the first five must equal the
     shipped run.  The spin-off reference runs only when a system has no
     pipeline trace: a trace turns spin sleeping off, which makes that
     run the shipped one.  The result is the all-off signature, the
@@ -800,6 +867,7 @@ def _both(monkeypatch, run):
     assert ticked == asleep
     assert scanned == asleep
     assert memq_scanned == asleep
+    assert _bus_wide(monkeypatch, run) == asleep
     if any(system.trace is None for system in systems):
         with monkeypatch.context() as patch:
             patch.setattr(Core, "_spinning", _never_spinning)
@@ -1300,17 +1368,49 @@ def test_stalled_core_sleeps_while_another_core_retires(monkeypatch):
     assert working.slept_ticks == 0
 
 
+def test_membar_sleeps_through_another_cores_stream(monkeypatch):
+    # Core 1 waits on a membar behind four of its own uncached stores while
+    # core 0's stream, granted the bus first, goes by: core 1 wakes when
+    # its own buffer empties, not on each of core 0's transactions (under
+    # the bus-wide mark, BUS_WIDE, it wakes on every one of them).
+    full_ticks = []
+    shipped = Core._retire
+
+    def counting(self, now):
+        if self.core_id == 1:
+            full_ticks.append(now)
+        shipped(self, now)
+
+    monkeypatch.setattr(Core, "_retire", counting)
+    system = System(make_config(num_cores=2, arbitration="priority"))
+    stream, stores = store_kernel_uncached(512), store_kernel_uncached(32, OTHER_PAGE)
+    system.add_process(assemble(stream), core_id=0)
+    system.add_process(assemble(stores), core_id=1)
+    system.run(max_cycles=MAX_CYCLES)
+    by_core = system.stats.transactions_by_core()
+    assert (by_core[0]["transactions"], by_core[1]["transactions"]) == (64, 4)
+    transitions = 1  # core 1's buffer empties once; it is never full
+    # Besides those: dispatching and retiring the stores, probing the membar.
+    assert len(full_ticks) <= transitions + 12
+
+
 # -- spinning cores -------------------------------------------------------------
 
 
 def _spin_off_and_on(monkeypatch, run):
-    """``run()`` with spin sleeping off and as shipped: the signatures must
-    be equal.  Returns the shipped signature and systems."""
+    """``run()`` with spin sleeping off and as shipped, the shipped run's
+    ledgers checked against scanned ones (:func:`_checking_probes`): the
+    signatures must be equal.  Returns the shipped signature and
+    systems."""
     with monkeypatch.context() as patch:
         patch.setattr(Core, "_spinning", _never_spinning)
         ticked, ticked_systems = run()
     assert _spun(ticked_systems) == 0
-    spun, systems = run()
+    checks: List[Tuple[str, bool]] = []
+    with monkeypatch.context() as patch:
+        _checking_probes(patch, checks)
+        spun, systems = run()
+    assert all(ok for _, ok in checks), _failed(checks)
     assert spun == ticked
     return spun, systems
 
@@ -1573,44 +1673,86 @@ def _sleep_counts(systems):
     ]
 
 
-def _checking_probes(patch, quiet):
-    """Patch the shipped quiet probe to also take the per-entry snapshot,
-    and record, at every probed tick that came out quiet by the O(1)
-    state, whether the snapshot came out equal too."""
+def _checking_probes(patch, checks):
+    """Patch the shipped probes to also take the per-entry snapshot and
+    scan every counter (:func:`scanning_counts`), and record in
+    ``checks``: at every probed tick that came out quiet by the O(1)
+    state, whether the snapshot came out equal too and whether the
+    journal held the scanned ledger (:func:`scanning_ledger`); at every
+    spin sleep, whether its ledger equals the scanned one."""
     shipped_probe = Core._quiet_probe
     shipped_sleep = Core._try_sleep
+    shipped_spin_probe = Core._spin_probe
+    shipped_spin = Core._try_spin
 
-    def probe(self):
-        return shipped_probe(self), snapshot_pipeline_state(self)
+    def probe(self, journal):
+        before = scanning_counts(self)
+        return shipped_probe(self, journal), snapshot_pipeline_state(self), before
 
     def try_sleep(self, now, probe):
-        probe, snapshot = probe
+        probe, snapshot, before = probe
         if self._pipeline_state() == probe[0]:
-            quiet.append(snapshot_pipeline_state(self) == snapshot)
+            scanned = _totals(scanning_ledger(self, before))
+            checks.append(("snapshot", snapshot_pipeline_state(self) == snapshot))
+            checks.append(("ledger", _totals(probe[1]) == scanned))
         shipped_sleep(self, now, probe)
+
+    def spin_probe(self, now, journal):
+        return shipped_spin_probe(self, now, journal), scanning_counts(self)
+
+    def try_spin(self, now, probe):
+        probe, before = probe
+        shipped_spin(self, now, probe)
+        if self._spin is not None:
+            scanned = _totals(scanning_ledger(self, before))
+            checks.append(("spin ledger", _totals(self._sleep_ledger) == scanned))
 
     patch.setattr(Core, "_quiet_probe", probe)
     patch.setattr(Core, "_try_sleep", try_sleep)
+    patch.setattr(Core, "_spin_probe", spin_probe)
+    patch.setattr(Core, "_try_spin", try_spin)
+
+
+def _failed(checks) -> str:
+    failed = [kind for kind, ok in checks if not ok]
+    return f"{len(failed)} of {len(checks)} checks failed: {sorted(set(failed))}"
 
 
 def _against_per_entry(monkeypatch, run):
     """``run()`` as shipped, checking at every probed quiet tick that equal
-    O(1) states imply equal per-entry snapshots, and with the replaced
-    bookkeeping (:data:`PER_ENTRY`): the signatures and the host-side
-    sleep counts must be equal.  Returns the shipped signature, its
+    O(1) states imply equal per-entry snapshots and that the journal
+    holds the scanned ledger, with the replaced bookkeeping
+    (:data:`PER_ENTRY`) and with the bus-wide wake mark
+    (:data:`BUS_WIDE`): the signatures, and the host-side sleep counts of
+    the first two, must be equal.  Returns the shipped signature, its
     systems and the number of probed quiet ticks."""
-    quiet: List[bool] = []
+    checks: List[Tuple[str, bool]] = []
     with monkeypatch.context() as patch:
-        _checking_probes(patch, quiet)
+        _checking_probes(patch, checks)
         shipped, systems = run()
-    assert all(quiet), f"{quiet.count(False)} of {len(quiet)} quiet ticks"
+    assert all(ok for _, ok in checks), _failed(checks)
     with monkeypatch.context() as patch:
         for (owner, name), reference in PER_ENTRY.items():
             patch.setattr(owner, name, reference)
         reference, reference_systems = run()
     assert shipped == reference
     assert _sleep_counts(systems) == _sleep_counts(reference_systems)
-    return shipped, systems, len(quiet)
+    assert _bus_wide(monkeypatch, run) == shipped
+    return shipped, systems, sum(kind == "snapshot" for kind, _ in checks)
+
+
+def _bus_wide(monkeypatch, run):
+    """``run()`` with today's wake mark replaced by the bus-wide one
+    (:data:`BUS_WIDE`), checking the probes' ledgers against the scanned
+    ones as :func:`_checking_probes` does; returns the signature."""
+    checks: List[Tuple[str, bool]] = []
+    with monkeypatch.context() as patch:
+        for (owner, name), reference in BUS_WIDE.items():
+            patch.setattr(owner, name, reference, raising=False)
+        _checking_probes(patch, checks)
+        signature, _ = run()
+    assert all(ok for _, ok in checks), _failed(checks)
+    return signature
 
 
 @pytest.mark.parametrize("name", sorted(_TARGETS))
