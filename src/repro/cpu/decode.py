@@ -9,7 +9,7 @@ so the core reads :class:`DecodedOp` fields instead of calling
 ``sources()``, ``destination()``, ``isinstance`` chains and
 ``Program.target_of`` for every dynamic instruction.  A record restates
 the instruction's own API, plus one fact about its place in the program:
-the register-only countdown loop (:class:`SpinLoop`) it sits in, if any.
+the spin loop (:class:`SpinLoop`) it sits in, if any.
 
 A record also carries the work, in the fast-forward tier's idiom
 (:func:`repro.sim.fastforward.decode_program`): the core's dispatch effect
@@ -70,12 +70,22 @@ _KINDS: Tuple[Tuple[type, str], ...] = (
 
 
 class SpinLoop(NamedTuple):
-    """A register-only countdown loop: a backward ``brnz r`` or ``ba``
-    whose other body instructions only add or subtract an immediate to
-    their own integer register (``r`` among them).  Each iteration adds a
-    constant to each of those registers, modulo 2**64, so a core spinning
-    in one may sleep through its steady state (see
-    :meth:`repro.cpu.core.Core.tick`)."""
+    """A loop a spinning core may sleep through: a backward ``brnz r`` or
+    ``ba`` whose other body instructions each
+
+    * add or subtract an immediate to their own integer register (an
+      *affine* step),
+    * ``set`` an immediate into an integer register, or
+    * read one loop-invariant cached word: a ``swap``, ``ldx`` or ``ld``,
+      all at the same immediate offset from a base register the body
+      never writes.
+
+    ``r`` is a register the body writes.  Each iteration adds a constant to
+    each affine register, modulo 2**64.  A register a ``set`` or a read
+    writes (a *reset* register) holds the same values every iteration as
+    long as the word keeps its value, so a core spinning in such a loop
+    may sleep through its steady state until the word or its cache set
+    changes (see :meth:`repro.cpu.core.Core.tick`)."""
 
     #: the branch target: the body's first pc
     head: int
@@ -83,11 +93,18 @@ class SpinLoop(NamedTuple):
     branch: int
     #: the register ``brnz`` tests; None for ``ba``, which never exits
     cond: Optional[str]
-    #: ``(register, what one iteration adds to it mod 2**64)`` pairs
+    #: ``(register, what one iteration adds to it mod 2**64)`` pairs, one
+    #: per affine register
     steps: Tuple[Tuple[str, int], ...]
     #: what the body adds to ``cond`` from each body position (offset
-    #: from ``head``) up to the branch, mod 2**64
+    #: from ``head``) up to the branch, mod 2**64; empty when ``cond`` is
+    #: not affine (a reset register: the loop has no closed-form exit)
     to_branch: Tuple[int, ...]
+    #: the reset registers
+    resets: Tuple[str, ...] = ()
+    #: ``(base register, offset)`` of the reads; None for a register-only
+    #: loop
+    word: Optional[Tuple[str, int]] = None
 
 
 def _affine_step(instr: Instruction) -> Optional[Tuple[str, int]]:
@@ -106,6 +123,25 @@ def _affine_step(instr: Instruction) -> Optional[Tuple[str, int]]:
     return instr.rd, addend & MASK64
 
 
+def _reset(instr: Instruction) -> Optional[Tuple[str, Optional[Tuple[str, int]]]]:
+    """``(register, None)`` for a ``set`` of an integer register;
+    ``(register, (base, offset))`` for a ``swap``, ``ldx`` or ``ld`` into
+    one at an immediate offset; else None."""
+    if isinstance(instr, SetInstruction):
+        word = None
+    elif type(instr) in (SwapInstruction, LoadInstruction) and instr.size in (4, 8):
+        offset = instr.offset  # type: ignore[attr-defined]
+        if isinstance(offset, str):
+            return None
+        word = (instr.base, offset)  # type: ignore[attr-defined]
+    else:
+        return None
+    reg = instr.rd  # type: ignore[attr-defined]
+    if reg == "r0" or is_fp_register(reg):
+        return None
+    return reg, word
+
+
 def _spin_loops(program: Program) -> Dict[int, SpinLoop]:
     """Every pc inside a :class:`SpinLoop` of ``program``, mapped to it.
     Such loops never overlap: a body holds no branch."""
@@ -114,25 +150,61 @@ def _spin_loops(program: Program) -> Dict[int, SpinLoop]:
         if not isinstance(instr, BranchInstruction) or instr.op not in ("brnz", "ba"):
             continue
         head = program.target_of(instr)
-        affine = [_affine_step(program[index]) for index in range(head, pc)]
-        body = [step for step in affine if step is not None]
-        if head > pc or len(body) < len(affine):
+        if head > pc:
             continue
-        steps: Dict[str, int] = {}
-        for reg, addend in body:
-            steps[reg] = (steps.get(reg, 0) + addend) & MASK64
-        cond = instr.rs1
-        if cond is not None and cond not in steps:
-            continue
-        to_branch = [0] * (pc - head + 1)
-        for offset in range(pc - head - 1, -1, -1):
-            reg, addend = body[offset]
-            here = addend if reg == cond else 0
-            to_branch[offset] = (to_branch[offset + 1] + here) & MASK64
-        loop = SpinLoop(head, pc, cond, tuple(steps.items()), tuple(to_branch))
-        for index in range(head, pc + 1):
-            loops[index] = loop
+        affine: List[Optional[Tuple[str, int]]] = []
+        resets: Dict[str, None] = {}
+        words = set()
+        for index in range(head, pc):
+            step = _affine_step(program[index])
+            affine.append(step)
+            if step is None:
+                reset = _reset(program[index])
+                if reset is None:
+                    break
+                resets[reset[0]] = None
+                if reset[1] is not None:
+                    words.add(reset[1])
+        else:
+            loop = _loop(head, pc, instr.rs1, affine, tuple(resets), words)
+            if loop is not None:
+                for index in range(head, pc + 1):
+                    loops[index] = loop
     return loops
+
+
+def _loop(
+    head: int,
+    branch: int,
+    cond: Optional[str],
+    affine: List[Optional[Tuple[str, int]]],
+    resets: Tuple[str, ...],
+    words: set,
+) -> Optional[SpinLoop]:
+    """The loop a body of affine steps (None at a reset's position) and
+    resets makes, or None when its reads name more than one word, write
+    their base register, or ``cond`` is a register the body leaves
+    alone."""
+    if len(words) > 1:
+        return None
+    word = next(iter(words), None)
+    steps: Dict[str, int] = {}
+    for step in affine:
+        if step is not None and step[0] not in resets:
+            steps[step[0]] = (steps.get(step[0], 0) + step[1]) & MASK64
+    if word is not None and (word[0] in steps or word[0] in resets):
+        return None
+    if cond is not None and cond not in steps and cond not in resets:
+        return None
+    to_branch: Tuple[int, ...] = ()
+    if cond in steps:
+        sums = [0] * (branch - head + 1)
+        for offset in range(branch - head - 1, -1, -1):
+            step = affine[offset]
+            here = step[1] if step is not None and step[0] == cond else 0
+            sums[offset] = (sums[offset + 1] + here) & MASK64
+        to_branch = tuple(sums)
+    return SpinLoop(head, branch, cond, tuple(steps.items()), to_branch, resets, word)
 
 
 class DecodedOp:
@@ -197,7 +269,7 @@ class DecodedOp:
         )
         #: executes at the head of the ROB even on cached space
         self.atomic = self.kind in ("swap", "sc")
-        #: the register-only countdown loop this pc sits in, if any
+        #: the spin loop this pc sits in, if any
         self.spin = spin
         #: the core's dispatch effect, ``(core, flight) -> None``, and
         #: retire handler, ``(core, head, now) -> bool`` (see _handlers)

@@ -4,11 +4,17 @@ Holds the functional contents of the simulated physical address space.  The
 store is sparse (page-granular ``bytearray`` chunks allocated on first touch)
 so device apertures at high addresses cost nothing.  Integers are stored
 big-endian, matching SPARC.
+
+Every functional write goes through :meth:`BackingStore.write_bytes`:
+cached stores and swaps, a squash's undo, bus writes and the fast-forward
+tier.  A core asleep in a spin loop watches the word its loop reads
+(:meth:`BackingStore.watch`), and a write that changes that word's bytes
+wakes it before they land (see :meth:`repro.cpu.core.Core.tick`).
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict, List, Optional
 
 from repro.common.errors import MemoryError_
 
@@ -22,6 +28,9 @@ class BackingStore:
 
     def __init__(self) -> None:
         self._chunks: Dict[int, bytearray] = {}
+        #: 8-aligned word address -> the watchers to wake before a write
+        #: changes it (see :meth:`watch`); None while nothing is watched
+        self.watchers: Optional[Dict[int, List[Any]]] = None
 
     def _chunk(self, address: int) -> bytearray:
         key = address >> _CHUNK_BITS
@@ -49,6 +58,8 @@ class BackingStore:
     def write_bytes(self, address: int, data: bytes) -> None:
         if address < 0:
             raise MemoryError_(f"bad write at {address:#x}")
+        if self.watchers is not None:
+            self._wake_watchers(address, data)
         cursor = 0
         length = len(data)
         while cursor < length:
@@ -57,6 +68,37 @@ class BackingStore:
             take = min(length - cursor, _CHUNK_SIZE - offset)
             self._chunk(addr)[offset : offset + take] = data[cursor : cursor + take]
             cursor += take
+
+    def watch(self, word: int, watcher: Any) -> None:
+        """Call ``watcher.wake()`` before any write changes a byte of the
+        8-byte word at ``word`` (8-aligned), until :meth:`unwatch`.  A
+        write of the bytes already there wakes nobody."""
+        watchers = self.watchers
+        if watchers is None:
+            watchers = self.watchers = {}
+        watchers.setdefault(word, []).append(watcher)
+
+    def unwatch(self, word: int, watcher: Any) -> None:
+        watchers = self.watchers
+        assert watchers is not None
+        listed = watchers[word]
+        listed.remove(watcher)
+        if not listed:
+            del watchers[word]
+            if not watchers:
+                self.watchers = None
+
+    def _wake_watchers(self, address: int, data: bytes) -> None:
+        """Wake the watchers of each watched word ``data`` changes."""
+        assert self.watchers is not None
+        end = address + len(data)
+        for word, listed in list(self.watchers.items()):
+            low, high = max(word, address), min(word + 8, end)
+            if low < high and self.read_bytes(low, high - low) != bytes(
+                data[low - address : high - address]
+            ):
+                for watcher in list(listed):
+                    watcher.wake()
 
     def read_int(self, address: int, size: int) -> int:
         """Read a ``size``-byte big-endian unsigned integer."""

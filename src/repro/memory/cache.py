@@ -5,13 +5,19 @@ This is a presence/latency model: the functional data lives in the
 lines are resident and dirty so that hit/miss latencies (and therefore the
 paper's Figure 5 lock-overhead numbers) come out right.  Replacement is LRU
 within a set; the write policy is write-back, write-allocate.
+
+A core asleep in a spin loop watches the L1 line its loop hits
+(:meth:`CacheLevel.watch`): a lookup or fill of another tag in that line's
+set, or an invalidation there, wakes it first, so the set's LRU order ends
+as the sleeper's own hits would have left it (see
+:meth:`repro.cpu.core.Core.tick`).
 """
 
 from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.bitops import block_base
 from repro.common.config import CacheConfig
@@ -63,6 +69,9 @@ class CacheLevel:
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
+        #: set index -> ``(tag, watcher)`` pairs (see :meth:`watch`); None
+        #: while nothing is watched
+        self.watchers: Optional[Dict[int, List[Tuple[int, Any]]]] = None
 
     def _index(self, address: int) -> int:
         return (address // self.config.line_size) % self.config.num_sets
@@ -82,8 +91,11 @@ class CacheLevel:
 
         A write hit marks the line dirty (write-back policy).
         """
-        cache_set = self._set_for(address)
+        index = self._index(address)
         tag = self._tag(address)
+        if self.watchers is not None:
+            self._disturb(index, tag)
+        cache_set = self._sets[index]
         if tag in cache_set:
             self.hits += 1
             cache_set.move_to_end(tag)
@@ -96,8 +108,11 @@ class CacheLevel:
     def fill(self, address: int, dirty: bool = False) -> Optional[int]:
         """Bring the line in (write-allocate); returns the address of an
         evicted dirty line, or None."""
-        cache_set = fill_set(self._sets, self._index(address))
+        index = self._index(address)
         tag = self._tag(address)
+        if self.watchers is not None:
+            self._disturb(index, tag)
+        cache_set = fill_set(self._sets, index)
         evicted: Optional[int] = None
         if tag not in cache_set and len(cache_set) >= self.config.associativity:
             victim_tag, victim_state = cache_set.popitem(last=False)
@@ -113,12 +128,57 @@ class CacheLevel:
 
     def invalidate(self, address: int) -> None:
         """Drop the line if resident (used to create cold-miss scenarios)."""
-        cache_set = self._set_for(address)
-        cache_set.pop(self._tag(address), None)
+        index = self._index(address)
+        if self.watchers is not None:
+            self._disturb(index, None)
+        self._sets[index].pop(self._tag(address), None)
 
     def invalidate_all(self) -> None:
+        if self.watchers is not None:
+            for index in list(self.watchers):
+                self._disturb(index, None)
         for cache_set in self._sets:
             cache_set.clear()
+
+    # -- the watch ------------------------------------------------------------
+
+    def watch(self, address: int, watcher: Any) -> None:
+        """Call ``watcher.wake()`` before a lookup or fill of any other
+        line in ``address``'s set, or before an invalidation there, until
+        :meth:`unwatch`.  Lookups of the watched line itself only move it
+        to most-recently-used, as the watcher's own hits would."""
+        watchers = self.watchers
+        if watchers is None:
+            watchers = self.watchers = {}
+        watchers.setdefault(self._index(address), []).append(
+            (self._tag(address), watcher)
+        )
+
+    def unwatch(self, address: int, watcher: Any) -> None:
+        watchers = self.watchers
+        assert watchers is not None
+        index = self._index(address)
+        listed = watchers[index]
+        listed.remove((self._tag(address), watcher))
+        if not listed:
+            del watchers[index]
+            if not watchers:
+                self.watchers = None
+
+    def _disturb(self, index: int, tag: Optional[int]) -> None:
+        """Wake the watchers of set ``index`` that watch a tag other than
+        ``tag`` (every one for None)."""
+        assert self.watchers is not None
+        listed = self.watchers.get(index)
+        if listed:
+            for watched, watcher in list(listed):
+                if watched != tag:
+                    watcher.wake()
+
+    def is_mru(self, address: int) -> bool:
+        """The line is resident and most-recently-used in its set."""
+        cache_set = self._set_for(address)
+        return bool(cache_set) and next(reversed(cache_set)) == self._tag(address)
 
     def dirty_lines(self) -> List[int]:
         """Addresses of all dirty lines (diagnostics and invariant tests)."""

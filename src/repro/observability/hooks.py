@@ -96,6 +96,7 @@ class Observability:
         system.csb.events = bus
         system.bus.events = bus
         for core in system.cores:
+            core.wake()  # a lock spin sleeps only unobserved (Core._spinning)
             core.events = bus
         system.hierarchy.events = bus
         system.scheduler.events = bus

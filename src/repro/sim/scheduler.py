@@ -86,8 +86,8 @@ class CoreScheduler:
         """Remove the forced context once its step program has halted."""
         if not self.core.drained:
             raise ConfigError("force_park with instructions in flight")
-        self.core.context = None
         self.core.wake()
+        self.core.context = None
 
     def add(self, context: ProcessContext) -> None:
         self._processes.append(context)
@@ -200,8 +200,8 @@ class CoreScheduler:
             ):
                 retired += 1
                 if self.core.context is process:
-                    self.core.context = None
                     self.core.wake()
+                    self.core.context = None
             else:
                 keep.append(process)
         if retired:

@@ -67,6 +67,10 @@ class UncachedBuffer:
         #: the uncached path that a stalled retire stage can see.  A
         #: sleeping core wakes when it moves (``Core.tick``).
         self.wake_mark = 0
+        #: Moves only when this buffer becomes empty: all a ``membar`` at
+        #: the head of the ROB waits for, so a core asleep on one compares
+        #: this mark instead.
+        self.empty_mark = 0
         self._stores_combined = stats.handle("uncached.stores_combined")
         self._full_stalls = stats.handle("uncached.full_stalls")
         self._entries_allocated = stats.handle("uncached.entries_allocated")
@@ -225,7 +229,10 @@ class UncachedBuffer:
         and nothing but a pop makes room or a new combining candidate
         (freezing the head takes one away); a ``membar`` waits for empty."""
         left = len(self._entries)
-        if not left or left == self.config.depth - 1:
+        if not left:
+            self.wake_mark += 1
+            self.empty_mark += 1
+        elif left == self.config.depth - 1:
             self.wake_mark += 1
 
     # -- state queries ----------------------------------------------------------

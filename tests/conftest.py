@@ -15,6 +15,7 @@ from repro.common.config import (
 )
 from repro.common.stats import StatsCollector
 from repro.isa.assembler import assemble
+from repro.memory.cache import UNTOUCHED_SET, CacheLevel
 from repro.sim.system import System
 
 
@@ -65,17 +66,35 @@ def run_asm(
 
 def run_signature(system: System) -> dict:
     """Everything a run computes, for comparing two ways of running it:
-    the cycle, every counter, the TLB's hits and misses, the marks, the
-    transaction records, the metrics snapshot and the pipeline trace."""
+    the cycle, every counter, the TLB's hits and misses, the blocking
+    hierarchy (each level's hits, misses, write-backs and the LRU order
+    of every set the run touched, and the main-memory accesses), the
+    marks, the transaction records, the metrics snapshot and the pipeline
+    trace."""
+    hierarchy = system.hierarchy
     return {
         "cycle": system.cycle,
         "stats": system.stats.as_dict(),
         "tlb": (system.tlb.hits, system.tlb.misses),
+        "caches": [cache_state(level) for level in (hierarchy.l1, hierarchy.l2)],
+        "memory_accesses": hierarchy.memory_accesses,
         "marks": dict(system.stats.marks),
         "transactions": list(system.stats.transactions),
         "metrics": system.metrics().to_dict(),
         "trace": None if system.trace is None else list(system.trace.events),
     }
+
+
+def cache_state(level: CacheLevel) -> tuple:
+    """A cache level's hits, misses and write-backs, and each set a fill
+    created, by index, as its lines from least to most recently used with
+    their clean/dirty states."""
+    touched = [
+        (index, list(lines.items()))
+        for index, lines in enumerate(level._sets)
+        if lines is not UNTOUCHED_SET
+    ]
+    return (level.name, level.hits, level.misses, level.writebacks, touched)
 
 
 def ring_state(ring) -> tuple:

@@ -3,11 +3,13 @@
 Each run below is one point of the paper's figures or of an extension
 study: one Figure 3/4 bandwidth point per scheme row (the R10000 and
 PowerPC 620 policies included), Figure 5(a) with the lock and with the
-CSB, the four-core contention system with each mechanism, a run with
-bus faults and spurious CSB aborts, a D-cache run and a two-core
-streamed trace replay under each discipline (the uncached and lock
-replays stall one core on its uncached buffer while the other's
-transactions go by).  For each, the golden file holds the whole
+CSB, the four-core contention system with each mechanism and the
+eight-core one with the lock, a run with bus faults and spurious CSB
+aborts, a D-cache run, a two-core streamed trace replay under each
+discipline (the uncached and lock replays stall one core on its
+uncached buffer while the other's transactions go by) and a four-core
+lock replay (several cores spin on one device's lock at once).  For
+each, the golden file holds the whole
 ``StatsCollector.as_dict()`` in order, the order the counters were minted
 in (a counter minted before its first bump shows up in both), the TLB's
 hits and misses, the marks and the final cycle.  A change that only
@@ -64,9 +66,9 @@ def _job(job) -> Callable[[], System]:
     return lambda: run_system(job)
 
 
-def _contention(mechanism: str) -> Callable[[], System]:
+def _contention(mechanism: str, cores: int = 4) -> Callable[[], System]:
     def run() -> System:
-        system = smp_contention_system(mechanism, 4)
+        system = smp_contention_system(mechanism, cores)
         system.run(max_cycles=50_000_000)
         return system
 
@@ -111,14 +113,14 @@ def _dcache() -> System:
     return system
 
 
-def _replay(discipline: str) -> Callable[[], System]:
+def _replay(discipline: str, cores: int = 2) -> Callable[[], System]:
     def run() -> System:
         workload = TraceWorkload(
             name="pins",
             source="synth:n=60,seed=3,gap=20,devices=4,skew=1.0,sizes=8:3/64:1",
             discipline=discipline,
         )
-        replay = TraceReplay(workload, SystemConfig(num_cores=2), 50_000_000)
+        replay = TraceReplay(workload, SystemConfig(num_cores=cores), 50_000_000)
         replay.run()
         return replay.system
 
@@ -142,6 +144,7 @@ RUNS: Dict[str, Callable[[], System]] = {
     "fig5a-lock-8": _job(latency_job("none", 8, lock_hits_l1=True)),
     "fig5a-csb-8": _job(latency_job("csb", 8, lock_hits_l1=True)),
     "smp-contention-lock-4": _contention("lock"),
+    "smp-contention-lock-8": _contention("lock", 8),
     "smp-contention-csb-4": _contention("csb"),
     "faulted": _faulted,
     "dcache": _dcache,
@@ -149,6 +152,7 @@ RUNS: Dict[str, Callable[[], System]] = {
         f"replay-2core-{discipline}": _replay(discipline)
         for discipline in ("uncached", "lock", "csb")
     },
+    "replay-4core-lock": _replay("lock", 4),
 }
 
 
